@@ -118,9 +118,9 @@ impl Cache {
     }
 
     /// Core of [`Cache::access`], operating on a block number and leaving
-    /// the read/write access counters to the caller: the compressed-run
-    /// replay path accounts whole runs at once and probes only the first
-    /// access of each run (the rest are guaranteed hits).
+    /// the read/write access counters to the caller: the stripped-trace
+    /// replay counts accesses from the raw log once and probes only the
+    /// references its filter chain kept (the rest are guaranteed hits).
     #[inline]
     pub(crate) fn probe_block(&mut self, block: u32, is_write: bool) -> bool {
         let set = (block & self.set_mask) as usize;
@@ -186,20 +186,14 @@ impl Cache {
     /// Dirty the most-recently-used line of `block`'s set.
     ///
     /// Only valid immediately after an access to `block` (the
-    /// compressed-run replay calls it when a run's later accesses include
-    /// a write: those are hits on the just-touched, MRU-resident block).
+    /// stripped-trace replay calls it when a stripped later access was a
+    /// write: those are hits on the just-touched, MRU-resident block).
     #[inline]
     pub(crate) fn dirty_mru(&mut self, block: u32) {
         let set = (block & self.set_mask) as usize;
         let line = &mut self.lines[set * self.assoc];
         debug_assert!(line.valid && line.tag == block >> self.tag_shift);
         line.dirty = true;
-    }
-
-    /// The log2 of the block size (callers shift addresses to blocks).
-    #[inline]
-    pub(crate) fn block_shift(&self) -> u32 {
-        self.block_shift
     }
 
     /// Reset contents and counters (reuse between runs).

@@ -1,177 +1,238 @@
-//! Run-length compression of a recorded trace at block granularity.
+//! Trace stripping: a chain of direct-mapped filters over a recorded trace.
 //!
-//! Within a single cache's access stream, consecutive accesses to the same
-//! block are guaranteed LRU hits: nothing else touched that cache in
-//! between, so the block is still resident and already most-recently-used.
-//! A [`BlockTrace`] exploits this — it folds each cache's stream (I and D
-//! are independent caches and therefore independent streams) into runs of
-//! same-block accesses, so replaying a configuration probes the cache once
-//! per *run* instead of once per *event* and bulk-adds the rest to the
-//! counters. Instruction fetch is highly sequential (a 64-byte block holds
-//! 16 instructions), so the fetch stream — the majority of all events —
-//! shrinks severalfold.
+//! A reference that hits in a direct-mapped cache with `S` sets hits the
+//! most-recently-used line of every LRU cache with at least `S` sets, of
+//! any associativity, at the same block size (Puzak's trace stripping;
+//! Wang & Baer showed it exact). The set index is the block number's low
+//! bits, so a set of the larger cache holds a subset of the blocks that
+//! share a set of the smaller one. A direct-mapped hit means no other
+//! block of that set class was touched since the block's last use, so in
+//! the larger cache the block is still resident and still MRU: the hit
+//! changes nothing but, for a write, the dirty bit. Stripping such a
+//! reference is therefore exact once its write is carried back to the
+//! kept reference that last touched the block. That reference is the
+//! resident line's, and the block cannot be evicted between the two, so
+//! dirtying it earlier changes no writeback.
 //!
-//! The compression depends only on the block size, so one [`BlockTrace`]
-//! serves every geometry of a sweep that shares it (all 24 Figure 3
-//! configurations use 64-byte blocks), and the compression pass runs once
-//! while the savings multiply across the whole sweep. Replayed results are
-//! bit-for-bit identical to streaming the raw events.
+//! A [`FilterChain`] applies this once per block size, with one level per
+//! set count in the sweep. The first level is the raw log minus its hits
+//! in a direct-mapped cache with that many sets (with one set, that folds
+//! runs of same-block references); each later level `S` is the level
+//! before it minus its hits in a direct-mapped cache with `S` sets. Since
+//! every level's set count is at least the last one's, each level is
+//! exact for its own geometries. I and D are independent caches, so each
+//! level keeps the two streams apart. A level's build pass *is* the
+//! direct-mapped simulation at its set count, so 1-way geometries read
+//! their misses and writebacks straight off the chain; a geometry with
+//! `S` sets and `k > 1` ways probes only level `S`. Access totals come
+//! from the raw log, once. Scores are bit-for-bit those of streaming the
+//! raw events.
 
-use crate::CacheSystem;
+use crate::{CacheGeometry, CacheStats, CacheSummary, CacheSystem};
 use tamsim_trace::{AccessKind, TraceLog};
 
-/// Data-run flag: the run's first access is a write (the probe must
-/// classify a miss as a write miss and allocate dirty).
+/// Reference flag: the reference's first access is a write (a miss is a
+/// write miss and allocates dirty).
 const D_FIRST_WRITE: u32 = 1;
-/// Data-run flag: a later access of the run is a write, so the block must
-/// be dirtied after the probe (the probe itself was a read).
+/// Reference flag: a later access folded or stripped into this reference
+/// is a write, so the block must be dirtied after the probe.
 const D_LATER_WRITE: u32 = 2;
-/// Sentinel for "no run open" (blocks are `addr >> shift` with
-/// `shift >= 2`, so a real block never reaches it).
-const NO_RUN: u32 = u32::MAX;
+/// Either write flag: the reference dirties its block.
+const D_WRITES: u32 = D_FIRST_WRITE | D_LATER_WRITE;
+/// Marks an empty line (blocks are `addr >> shift` with `shift >= 2`, so
+/// a real block never reaches it).
+const NO_BLOCK: u32 = u32::MAX;
 
-/// A recorded trace folded into per-cache same-block runs at one block
-/// size. Build once per distinct block size; replay into every geometry
-/// sharing it.
-///
-/// Per-run access counts are not stored: they only feed the read/write
-/// totals, which the build pass accumulates once, leaving the replay loop
-/// pure probes. A run is one `u32`: the block number for the instruction
-/// stream, `block << 2 | flags` for the data stream.
-#[derive(Debug, Clone)]
-pub struct BlockTrace {
-    block_bytes: u32,
-    /// Block number of each instruction-stream run.
-    i_blocks: Vec<u32>,
-    /// `block << 2 | flags` for each data-stream run.
-    d_words: Vec<u32>,
-    /// Total fetches in the log.
-    i_fetches: u64,
-    /// Total data reads in the log.
-    d_reads: u64,
-    /// Total data writes in the log.
-    d_writes: u64,
+/// One direct-mapped cache simulated over a reference stream, keeping the
+/// references that miss. A reference is one `u32`, `block << 2 | flags`.
+struct Filter {
+    /// Per set: the resident block and the index in `kept` of the
+    /// reference that allocated it. Later hits fold their write flags into
+    /// that reference, so its flags also tell whether the line is dirty.
+    lines: Vec<(u32, usize)>,
+    /// The references that missed, in order.
+    kept: Vec<u32>,
+    /// The cache's misses and writebacks (the access totals stay zero).
+    misses: CacheStats,
 }
 
-impl BlockTrace {
-    /// Fold `log` into same-block runs at `block_bytes` granularity.
-    pub fn build(log: &TraceLog, block_bytes: u32) -> BlockTrace {
-        assert!(
-            block_bytes.is_power_of_two() && block_bytes >= 4,
-            "bad block size"
-        );
-        let shift = block_bytes.trailing_zeros();
-        let mut i_blocks: Vec<u32> = Vec::new();
-        let mut d_words: Vec<u32> = Vec::new();
-        let (mut i_fetches, mut d_reads, mut d_writes) = (0u64, 0u64, 0u64);
-        let mut cur_i = NO_RUN;
-        let mut cur_d = NO_RUN;
-        let mut cur_d_flags = 0u32;
-        for access in log {
-            let block = access.addr >> shift;
-            match access.kind {
-                AccessKind::Fetch => {
-                    i_fetches += 1;
-                    if block != cur_i {
-                        i_blocks.push(block);
-                        cur_i = block;
-                    }
-                }
-                AccessKind::Read => {
-                    d_reads += 1;
-                    if block != cur_d {
-                        if cur_d != NO_RUN {
-                            d_words.push(cur_d << 2 | cur_d_flags);
-                        }
-                        cur_d = block;
-                        cur_d_flags = 0;
-                    }
-                }
-                AccessKind::Write => {
-                    d_writes += 1;
-                    if block != cur_d {
-                        if cur_d != NO_RUN {
-                            d_words.push(cur_d << 2 | cur_d_flags);
-                        }
-                        cur_d = block;
-                        cur_d_flags = D_FIRST_WRITE;
-                    } else if cur_d_flags & D_FIRST_WRITE == 0 {
-                        cur_d_flags |= D_LATER_WRITE;
-                    }
-                }
-            }
-        }
-        if cur_d != NO_RUN {
-            d_words.push(cur_d << 2 | cur_d_flags);
-        }
-        BlockTrace {
-            block_bytes,
-            i_blocks,
-            d_words,
-            i_fetches,
-            d_reads,
-            d_writes,
+impl Filter {
+    fn new(sets: u32) -> Filter {
+        Filter {
+            lines: vec![(NO_BLOCK, 0); sets as usize],
+            kept: Vec::new(),
+            misses: CacheStats::default(),
         }
     }
 
-    /// The block size this trace was folded at.
-    pub fn block_bytes(&self) -> u32 {
+    /// The next level: `refs` stripped through `sets` sets.
+    fn over(refs: &[u32], sets: u32) -> Filter {
+        let mut filter = Filter::new(sets);
+        for &word in refs {
+            filter.push(word);
+        }
+        filter
+    }
+
+    #[inline]
+    fn push(&mut self, word: u32) {
+        let block = word >> 2;
+        let mask = self.lines.len() - 1;
+        let (resident, at) = &mut self.lines[block as usize & mask];
+        if *resident == block {
+            let head = &mut self.kept[*at];
+            if word & D_WRITES != 0 && *head & D_FIRST_WRITE == 0 {
+                *head |= D_LATER_WRITE;
+            }
+            return;
+        }
+        if *resident != NO_BLOCK && self.kept[*at] & D_WRITES != 0 {
+            self.misses.writebacks += 1;
+        }
+        if word & D_FIRST_WRITE != 0 {
+            self.misses.write_misses += 1;
+        } else {
+            self.misses.read_misses += 1;
+        }
+        *resident = block;
+        *at = self.kept.len();
+        self.kept.push(word);
+    }
+}
+
+/// A recorded trace stripped at one block size, at every set count a
+/// sweep asks for. Build once per distinct block size and score every
+/// geometry sharing it.
+pub(crate) struct FilterChain {
+    block_bytes: u32,
+    /// Fetches, data reads and data writes in the log.
+    totals: [u64; 3],
+    /// Set count and I/D filters of each level, fewest sets first. A
+    /// level's references are kept only if a set-associative geometry
+    /// replays it.
+    levels: Vec<(u32, [Filter; 2])>,
+}
+
+impl FilterChain {
+    /// Strip `log` at `block_bytes` for the geometries of `sweep` that
+    /// use that block size.
+    pub(crate) fn build(log: &TraceLog, block_bytes: u32, sweep: &[CacheGeometry]) -> FilterChain {
+        let ours = || sweep.iter().filter(|g| g.block_bytes == block_bytes);
+        let mut set_counts: Vec<u32> = ours().map(|g| g.n_sets()).collect();
+        set_counts.sort_unstable();
+        set_counts.dedup();
+        // Only levels a set-associative geometry replays keep references.
+        let drop_unreplayed = |(sets, level): &mut (u32, [Filter; 2])| {
+            if !ours().any(|g| g.assoc > 1 && g.n_sets() == *sets) {
+                level.iter_mut().for_each(|f| f.kept = Vec::new());
+            }
+        };
+
+        let mut totals = [0u64; 3];
+        let mut levels: Vec<(u32, [Filter; 2])> = Vec::new();
+        for sets in set_counts {
+            let level = match levels.last_mut() {
+                Some(prev) => {
+                    let next = prev.1.each_ref().map(|f| Filter::over(&f.kept, sets));
+                    drop_unreplayed(prev);
+                    next
+                }
+                None => Self::strip_log(log, block_bytes, sets, &mut totals),
+            };
+            levels.push((sets, level));
+        }
+        if let Some(last) = levels.last_mut() {
+            drop_unreplayed(last);
+        }
+        FilterChain {
+            block_bytes,
+            totals,
+            levels,
+        }
+    }
+
+    /// The first level, stripped from the raw log, and the log's access
+    /// totals.
+    fn strip_log(
+        log: &TraceLog,
+        block_bytes: u32,
+        sets: u32,
+        totals: &mut [u64; 3],
+    ) -> [Filter; 2] {
+        let shift = block_bytes.trailing_zeros();
+        let [mut i, mut d] = [Filter::new(sets), Filter::new(sets)];
+        for access in log {
+            let word = access.addr >> shift << 2;
+            totals[access.kind.index()] += 1;
+            match access.kind {
+                AccessKind::Fetch => i.push(word),
+                AccessKind::Read => d.push(word),
+                AccessKind::Write => d.push(word | D_FIRST_WRITE),
+            }
+        }
+        [i, d]
+    }
+
+    /// The block size this chain was stripped at.
+    pub(crate) fn block_bytes(&self) -> u32 {
         self.block_bytes
     }
 
-    /// Total runs (the probes one replay pass performs).
-    pub fn runs(&self) -> usize {
-        self.i_blocks.len() + self.d_words.len()
-    }
-
-    /// Total events the trace was folded from.
-    pub fn events(&self) -> u64 {
-        self.i_fetches + self.d_reads + self.d_writes
-    }
-
-    /// Replay the folded trace into `system`, producing exactly the stats
-    /// the raw event stream would have.
+    /// The counters streaming the raw log through `geometry` would give.
     ///
     /// # Panics
-    /// Panics if either of `system`'s caches uses a different block size
-    /// than this trace was folded at.
-    pub fn replay(&self, system: &mut CacheSystem) {
-        let shift = self.block_bytes.trailing_zeros();
+    /// Panics if `geometry` uses another block size or a set count the
+    /// chain was not built for.
+    pub(crate) fn score(&self, geometry: CacheGeometry) -> CacheSummary {
         assert_eq!(
-            system.icache.block_shift(),
-            shift,
-            "BlockTrace folded at {} B cannot replay into this geometry",
-            self.block_bytes
+            geometry.block_bytes,
+            self.block_bytes,
+            "chain stripped at {} B cannot replay {}",
+            self.block_bytes,
+            geometry.label()
         );
-        assert_eq!(
-            system.dcache.block_shift(),
-            shift,
-            "split I/D block sizes unsupported"
-        );
-
-        let i = &mut system.icache;
-        i.stats.reads += self.i_fetches;
-        for &block in &self.i_blocks {
-            i.probe_block(block, false);
+        let (_, [i, d]) = self
+            .levels
+            .iter()
+            .find(|(sets, _)| *sets == geometry.n_sets())
+            .expect("chain built for every set count of the sweep");
+        let [fetches, reads, writes] = self.totals;
+        if geometry.assoc == 1 {
+            return CacheSummary {
+                i: CacheStats {
+                    reads: fetches,
+                    ..i.misses
+                },
+                d: CacheStats {
+                    reads,
+                    writes,
+                    ..d.misses
+                },
+            };
         }
-        let d = &mut system.dcache;
-        d.stats.reads += self.d_reads;
-        d.stats.writes += self.d_writes;
-        for &word in &self.d_words {
-            d.probe_block(word >> 2, word & D_FIRST_WRITE != 0);
-            // A later write of the run is a hit dirtying the just-probed,
-            // now-MRU block (a write-first run allocated it dirty already).
+        let mut system = CacheSystem::symmetric(geometry);
+        let icache = &mut system.icache;
+        icache.stats.reads = fetches;
+        for &word in &i.kept {
+            icache.probe_block(word >> 2, false);
+        }
+        let dcache = &mut system.dcache;
+        dcache.stats.reads = reads;
+        dcache.stats.writes = writes;
+        for &word in &d.kept {
+            dcache.probe_block(word >> 2, word & D_FIRST_WRITE != 0);
+            // A stripped later write hit the just-probed, now-MRU block.
             if word & D_LATER_WRITE != 0 {
-                d.dirty_mru(word >> 2);
+                dcache.dirty_mru(word >> 2);
             }
         }
+        system.summary()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheGeometry;
     use tamsim_trace::{Access, TraceSink};
 
     /// A stream exercising every run shape: sequential fetch runs,
@@ -203,14 +264,12 @@ mod tests {
             CacheGeometry::new(128, 2, 16),
             CacheGeometry::new(256, 4, 32),
             CacheGeometry::new(1024, 2, 64),
+            CacheGeometry::new(1024, 1, 64),
         ] {
             let mut raw = CacheSystem::symmetric(geometry);
             raw.replay(&log);
-            let trace = BlockTrace::build(&log, geometry.block_bytes);
-            let mut folded = CacheSystem::symmetric(geometry);
-            trace.replay(&mut folded);
-            assert_eq!(folded.summary(), raw.summary(), "{geometry:?}");
-            assert!(trace.runs() <= log.len());
+            let chain = FilterChain::build(&log, geometry.block_bytes, &[geometry]);
+            assert_eq!(chain.score(geometry), raw.summary(), "{geometry:?}");
         }
     }
 
@@ -220,17 +279,34 @@ mod tests {
         for i in 0..160u32 {
             log.access(Access::fetch(i * 4));
         }
-        let trace = BlockTrace::build(&log, 64);
         // 160 sequential fetches over 64-byte blocks = 10 runs of 16.
-        assert_eq!(trace.runs(), 10);
+        let chain = FilterChain::build(&log, 64, &[CacheGeometry::new(128, 2, 64)]);
+        assert_eq!(chain.levels[0].1[0].kept.len(), 10);
+    }
+
+    #[test]
+    fn levels_follow_the_sweep_and_only_replayed_ones_keep_references() {
+        let log = exercise_log();
+        let sweep = [
+            CacheGeometry::new(2048, 1, 8),
+            CacheGeometry::new(1024, 2, 8),
+            CacheGeometry::new(64, 1, 8),
+            CacheGeometry::new(1024, 2, 16),
+        ];
+        let chain = FilterChain::build(&log, 8, &sweep);
+        let sets: Vec<u32> = chain.levels.iter().map(|(s, _)| *s).collect();
+        assert_eq!(sets, [8, 64, 256]);
+        let refs = |(_, [i, d]): &(u32, [Filter; 2])| i.misses.misses() + d.misses.misses();
+        assert!(chain.levels.windows(2).all(|w| refs(&w[1]) <= refs(&w[0])));
+        for (sets, [i, d]) in &chain.levels {
+            assert_eq!(i.kept.is_empty() && d.kept.is_empty(), *sets != 64);
+        }
     }
 
     #[test]
     #[should_panic(expected = "cannot replay")]
     fn block_size_mismatch_panics() {
-        let log = TraceLog::new();
-        let trace = BlockTrace::build(&log, 8);
-        let mut system = CacheSystem::symmetric(CacheGeometry::new(1024, 2, 64));
-        trace.replay(&mut system);
+        let chain = FilterChain::build(&TraceLog::new(), 8, &[]);
+        chain.score(CacheGeometry::new(1024, 2, 64));
     }
 }

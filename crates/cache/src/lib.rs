@@ -8,12 +8,11 @@
 //! trace pass.
 
 pub mod cache;
-pub mod compress;
+mod compress;
 pub mod config;
 pub mod system;
 
 pub use cache::{Cache, CacheStats};
-pub use compress::BlockTrace;
 pub use config::{
     paper_sweep, table2_geometry, CacheGeometry, PAPER_ASSOCS, PAPER_BLOCK_BYTES,
     PAPER_BLOCK_SWEEP, PAPER_CACHE_SIZES, PAPER_MISS_COSTS,

@@ -1,7 +1,8 @@
 //! Split instruction/data cache systems, the multi-configuration bank, and
 //! the cycle model.
 
-use crate::{BlockTrace, Cache, CacheGeometry, CacheStats};
+use crate::compress::FilterChain;
+use crate::{Cache, CacheGeometry, CacheStats};
 use tamsim_trace::{Access, AccessKind, MarkSink, TraceLog, TraceSink};
 
 /// A split I/D cache pair, as in the paper ("in all cases, we specified
@@ -205,14 +206,14 @@ impl CacheBank {
 
     /// Score every geometry against a recorded log, in parallel.
     ///
-    /// The log is first folded into same-block runs once per distinct
-    /// block size ([`BlockTrace`]) — a single pass whose cost is amortized
-    /// over every geometry sharing that block size (the whole Figure 3
-    /// sweep uses 64-byte blocks), and which typically shrinks the stream
-    /// severalfold because instruction fetch is sequential. Each
-    /// configuration is then an independent simulation (they share nothing
-    /// but the read-only folded traces), so the sweep is embarrassingly
-    /// parallel and fans out through [`tamsim_trace::par_map`].
+    /// The log is first stripped once per distinct block size by a chain
+    /// of direct-mapped filters (see the `compress` module): level `S`
+    /// keeps only the references that can change an LRU cache with `S`
+    /// sets. Building the chain simulates every direct-mapped geometry of
+    /// the sweep, and each set-associative geometry then probes only the
+    /// level for its set count. The per-block-size chains and the
+    /// per-geometry scores are independent, so both fan out through
+    /// [`tamsim_trace::par_map`].
     ///
     /// Results are in `geometries` order and bit-identical to streaming
     /// the same events through a [`CacheBank`].
@@ -220,20 +221,16 @@ impl CacheBank {
         geometries: &[CacheGeometry],
         log: &TraceLog,
     ) -> Vec<(CacheGeometry, CacheSummary)> {
-        let mut traces: Vec<BlockTrace> = Vec::new();
-        for g in geometries {
-            if !traces.iter().any(|t| t.block_bytes() == g.block_bytes) {
-                traces.push(BlockTrace::build(log, g.block_bytes));
-            }
-        }
+        let mut block_sizes: Vec<u32> = geometries.iter().map(|g| g.block_bytes).collect();
+        block_sizes.sort_unstable();
+        block_sizes.dedup();
+        let chains = tamsim_trace::par_map(block_sizes, |b| FilterChain::build(log, b, geometries));
         tamsim_trace::par_map(geometries.to_vec(), |g: CacheGeometry| {
-            let trace = traces
+            let chain = chains
                 .iter()
-                .find(|t| t.block_bytes() == g.block_bytes)
-                .expect("trace folded for every block size in the sweep");
-            let mut system = CacheSystem::symmetric(g);
-            trace.replay(&mut system);
-            (g, system.summary())
+                .find(|c| c.block_bytes() == g.block_bytes)
+                .expect("chain built for every block size in the sweep");
+            (g, chain.score(g))
         })
     }
 

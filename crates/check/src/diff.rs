@@ -184,12 +184,18 @@ impl Default for CheckConfig {
             fuel: 50_000_000,
             mutation: None,
             check_uninit_frame_reads: true,
-            // Three disparate geometries keep the cross-check cheap while
-            // covering distinct block sizes (each folds its own
-            // block-trace) and associativities.
+            // Three distinct block sizes, each stripped by its own filter
+            // chain, and at 64 bytes a ladder sharing one chain: a 1-set
+            // cache, 16 to 256 sets, every associativity, and a 1-way and
+            // a 2-way geometry on the same level.
             geometries: vec![
                 CacheGeometry::new(1 << 12, 1, 16),
                 CacheGeometry::new(1 << 14, 2, 32),
+                CacheGeometry::new(1 << 8, 4, 64),
+                CacheGeometry::new(1 << 10, 1, 64),
+                CacheGeometry::new(1 << 11, 2, 64),
+                CacheGeometry::new(1 << 13, 1, 64),
+                CacheGeometry::new(1 << 13, 2, 64),
                 CacheGeometry::new(1 << 16, 4, 64),
             ],
             mesh: false,

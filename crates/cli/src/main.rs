@@ -1113,8 +1113,8 @@ fn run_mesh_perf(
     }
 
     // The parallel block is numeric when measured, or the literal skip
-    // marker on a one-core host — ci/bench_compare.sh treats the absent
-    // numeric fields as "nothing to compare".
+    // marker on a one-core host, so a reader can tell "not measured"
+    // from a measured number.
     let parallel_json = match parallel {
         Some((serial_onethread_seconds, parallel_seconds, parallel_speedup)) => format!(
             "\"serial_onethread_seconds\": {serial_onethread_seconds:.6},\n  \

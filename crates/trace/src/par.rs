@@ -8,12 +8,19 @@
 //! to hand-roll the same `available_parallelism` + `thread::scope` shard
 //! loop; this module is that loop, written once.
 //!
-//! The pool is deliberately simple: items are split into `ceil(n/workers)`
-//! contiguous shards, one scoped thread per shard, and results are
-//! concatenated in shard order — so the output order always equals the
-//! input order, exactly as a serial `map` would produce. There is no work
-//! stealing; the consumers' work units are numerous and similar enough
-//! that static sharding stays balanced.
+//! The pool is deliberately simple: one scoped thread per worker, each
+//! claiming the next unclaimed item from a shared atomic index until none
+//! are left, and every result lands at its item's index — so the output
+//! order always equals the input order, exactly as a serial `map` would
+//! produce. Claiming one item at a time keeps workers busy when item costs
+//! are skewed, as they are: a suite's machine runs differ by orders of
+//! magnitude, and a cache sweep's direct-mapped geometries cost almost
+//! nothing next to its set-associative ones. Static contiguous shards do
+//! not stay balanced under such skew: whenever the heavy items share a
+//! shard, the other workers go idle.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolve the worker count for `n_items` work units: the `TAMSIM_JOBS`
 /// override when set (parsed as a positive integer; anything else —
@@ -22,8 +29,9 @@
 ///
 /// `TAMSIM_JOBS` may exceed the core count (oversubscription is honoured,
 /// useful when work units block) or pin the pool to 1 for a serial,
-/// debugger-friendly run. Either way results are deterministic: sharding
-/// only changes which thread computes an item, never the output order.
+/// debugger-friendly run. Either way results are deterministic: the
+/// worker count only changes which thread computes an item, never the
+/// output order.
 pub fn resolve_jobs(env: Option<&str>, cores: usize, n_items: usize) -> usize {
     let requested = env
         .and_then(|s| s.trim().parse::<usize>().ok())
@@ -55,35 +63,60 @@ where
         cores,
         items.len(),
     );
+    map_on(workers, items, f)
+}
+
+/// [`par_map`] on exactly `workers` threads (inline when `workers <= 1`).
+fn map_on<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let shard = items.len().div_ceil(workers);
-    let mut shards: Vec<Vec<T>> = Vec::with_capacity(workers);
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(shard).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        shards.push(chunk);
-    }
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    // Publishes nothing but the claim itself: each item travels through
+    // its slot's mutex and each result through the worker's join.
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<R>> = slots.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(i) else { break };
+                        let item = slot
+                            .lock()
+                            .expect("slot lock is never held across a panic")
+                            .take()
+                            .expect("each index is claimed once");
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    })
+        for h in handles {
+            for (i, r) in h.join().expect("par_map worker panicked") {
+                results[i] = Some(r);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every item mapped"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     #[test]
     fn jobs_env_overrides_and_clamps() {
@@ -125,8 +158,8 @@ mod tests {
 
     #[test]
     fn uneven_work_still_returns_in_order() {
-        // Make early items slow so later shards finish first.
-        let out = par_map((0..64u64).collect(), |i| {
+        // Make early items slow so later items finish first.
+        let out = map_on(4, (0..64u64).collect(), |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -136,20 +169,34 @@ mod tests {
     }
 
     #[test]
+    fn skewed_work_is_claimed_one_item_at_a_time() {
+        // Item 0 cannot finish before every other item has. Claimed one at
+        // a time, the second worker drains items 1.. while the first waits;
+        // in contiguous shards, item 0's shard-mates would queue behind it
+        // and the wait would time out.
+        let n = 64;
+        let done = (Mutex::new(0usize), Condvar::new());
+        let out = map_on(2, (0..n).collect(), |i: usize| {
+            let (count, finished) = &done;
+            let mut count = count.lock().expect("no panics under the lock");
+            if i == 0 {
+                let (count, wait) = finished
+                    .wait_timeout_while(count, Duration::from_secs(10), |c| *c < n - 1)
+                    .expect("no panics under the lock");
+                return if wait.timed_out() { 0 } else { *count };
+            }
+            *count += 1;
+            finished.notify_all();
+            i
+        });
+        assert_eq!(out, [n - 1].into_iter().chain(1..n).collect::<Vec<_>>());
+    }
+
+    #[test]
     #[should_panic(expected = "par_map worker panicked")]
     fn worker_panic_propagates() {
-        // More items than any plausible core count forces the threaded path
-        // on multi-core hosts; on a single core the inline path panics with
-        // the closure's own message, so only assert when sharded.
-        if std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            <= 1
-        {
-            panic!("par_map worker panicked (inline path, trivially)");
-        }
-        par_map((0..4096).collect(), |i: i32| {
-            assert!(i != 2048, "boom");
+        map_on(4, (0..64).collect(), |i: i32| {
+            assert!(i != 32, "boom");
             i
         });
     }

@@ -663,15 +663,22 @@ fn mesh_identity_check(
     mesh_driver_cross_check(program, impl_, label, cfg)
 }
 
-/// Node count the fuzz cross-check runs the two mesh drivers on: a 2×2
+/// Node count the fuzz cross-check runs the three mesh drivers on: a 2×2
 /// mesh, the smallest with multi-hop routes in both dimensions.
 const CROSS_CHECK_NODES: u32 = 4;
+
+/// Node count of the second, wide cross-check (lockstep against
+/// fast-forward only): a 9×8 mesh, whose node index spans two 64-bit
+/// words and where most nodes sit idle for long stretches — the shape
+/// the fast-forward driver's awake set and fabric occupancy index serve.
+const WIDE_CROSS_CHECK_NODES: u32 = 72;
 
 /// Run `program` on a [`CROSS_CHECK_NODES`]-node mesh under all three
 /// drivers — PR 4's lockstep loop, the event-horizon fast-forward, and
 /// the epoch-barrier parallel driver on two worker threads — and every
 /// placement policy (including the dynamically-migrating `steal`), and
-/// require bit-identity in every observable. The
+/// require bit-identity in every observable; then run lockstep against
+/// fast-forward again on [`WIDE_CROSS_CHECK_NODES`] nodes. The
 /// fast-forward may only skip cycles that were pure no-ops, and the
 /// parallel driver's barriers may only reorder work the serial cycle
 /// already treats as unordered; any divergence here means one of them
@@ -682,32 +689,48 @@ fn mesh_driver_cross_check(
     label: &'static str,
     cfg: &CheckConfig,
 ) -> Result<(), CheckFailure> {
-    for policy in PlacementPolicy::ALL {
-        let trap_fail = |what: String| CheckFailure {
-            kind: FailureKind::MeshDivergence,
-            detail: format!(
-                "{label}: {what} ({CROSS_CHECK_NODES} nodes, {})",
-                policy.label()
-            ),
-        };
-        let mut exp = MeshExperiment::new(impl_, CROSS_CHECK_NODES).with_placement(policy);
+    let experiment = |nodes: u32, policy: PlacementPolicy| {
+        let mut exp = MeshExperiment::new(impl_, nodes).with_placement(policy);
         exp.fuel = cfg.fuel;
         // Multi-node runs may legitimately need more queue space than the
         // single-node run probed; all drivers must grow identically.
         exp.queue_words = [cfg.queue_words, cfg.queue_words];
+        exp
+    };
+    let trap_fail = |nodes: u32, policy: PlacementPolicy, what: String| CheckFailure {
+        kind: FailureKind::MeshDivergence,
+        detail: format!("{label}: {what} ({nodes} nodes, {})", policy.label()),
+    };
+    for policy in PlacementPolicy::ALL {
+        let nodes = CROSS_CHECK_NODES;
+        let exp = experiment(nodes, policy);
         let lock = catch_trap(|| exp.lockstep().run(program))
-            .map_err(|trap| trap_fail(format!("lockstep run trapped: {trap}")))?;
+            .map_err(|trap| trap_fail(nodes, policy, format!("lockstep run trapped: {trap}")))?;
         // The fast leg runs with network tracing on (bounded ring) while
         // the lockstep leg stays untraced, so every fuzz iteration also
         // proves instrumentation is invisible to the run itself.
-        let fast = catch_trap(|| exp.traced(NetTraceMode::Ring(256)).run(program))
-            .map_err(|trap| trap_fail(format!("fast-forward run trapped: {trap}")))?;
+        let fast =
+            catch_trap(|| exp.traced(NetTraceMode::Ring(256)).run(program)).map_err(|trap| {
+                trap_fail(nodes, policy, format!("fast-forward run trapped: {trap}"))
+            })?;
         // The parallel leg fans the same run across two worker threads.
         let par = catch_trap(|| exp.with_threads(2).run(program))
-            .map_err(|trap| trap_fail(format!("parallel run trapped: {trap}")))?;
+            .map_err(|trap| trap_fail(nodes, policy, format!("parallel run trapped: {trap}")))?;
         for (leg, run) in [("fast-forward", &fast), ("parallel x2", &par)] {
-            mesh_runs_identical(label, leg, policy, &lock, run)?;
+            mesh_runs_identical(label, leg, nodes, policy, &lock, run)?;
         }
+    }
+    // The wide leg runs the untraced fast-forward loop, the
+    // monomorphization the small leg's traced run does not cover.
+    for policy in PlacementPolicy::ALL {
+        let nodes = WIDE_CROSS_CHECK_NODES;
+        let exp = experiment(nodes, policy);
+        let lock = catch_trap(|| exp.lockstep().run(program))
+            .map_err(|trap| trap_fail(nodes, policy, format!("lockstep run trapped: {trap}")))?;
+        let fast = catch_trap(|| exp.run(program)).map_err(|trap| {
+            trap_fail(nodes, policy, format!("fast-forward run trapped: {trap}"))
+        })?;
+        mesh_runs_identical(label, "fast-forward", nodes, policy, &lock, &fast)?;
     }
     Ok(())
 }
@@ -717,6 +740,7 @@ fn mesh_driver_cross_check(
 fn mesh_runs_identical(
     label: &str,
     leg: &str,
+    nodes: u32,
     policy: PlacementPolicy,
     lock: &MeshRunResult,
     got: &MeshRunResult,
@@ -724,7 +748,7 @@ fn mesh_runs_identical(
     let fail = |what: String| CheckFailure {
         kind: FailureKind::MeshDivergence,
         detail: format!(
-            "{label}: {what} (lockstep vs {leg}, {CROSS_CHECK_NODES} nodes, {})",
+            "{label}: {what} (lockstep vs {leg}, {nodes} nodes, {})",
             policy.label()
         ),
     };

@@ -77,11 +77,11 @@ fn help_text() -> String {
          --small        run the reduced-size suite (fast smoke run)\n  \
          --out DIR      write outputs under DIR (default: results)\n  \
          --impl IMPL    profile/mesh: am | am-en | md | all (default: am)\n  \
-         --nodes N      mesh, serve, perf --mesh: node count, factored into a near-square \
-         mesh (default: 4)\n  \
+         --nodes N      mesh, serve, perf --mesh: node count, 1 to 256, factored into a \
+         near-square mesh (default: 4)\n  \
          --policy P     mesh, serve: frame placement, rr | local | steal (default: rr)\n  \
          --rate R       serve only: offered load, requests per 1000 cycles (default: 20)\n  \
-         --requests N   serve only: total requests to inject (default: 32)\n  \
+         --requests N   serve only: total requests to inject (default: 32), at least 1\n  \
          --arrivals A   serve only: arrival process, poisson | fixed (default: poisson)\n  \
          --origins O    serve only: request origins, uniform | corner (default: uniform); \
          corner aims every request at node 0 — the skewed-load scenario the steal \
@@ -170,6 +170,16 @@ fn parse_args() -> Args {
             std::process::exit(2);
         })
     }
+    /// A count checked against its bounds while still 64-bit, so an
+    /// out-of-range value is refused rather than wrapped into range.
+    fn count(flag: &str, value: &str, max: u32) -> u32 {
+        let n = numeric(flag, value);
+        if !(1..=u64::from(max)).contains(&n) {
+            eprintln!("error: flag '{flag}' needs a count from 1 to {max}, got {n}");
+            std::process::exit(2);
+        }
+        n as u32
+    }
     let mut small = false;
     let mut out = PathBuf::from("results");
     let mut impl_ = "am".to_string();
@@ -196,7 +206,8 @@ fn parse_args() -> Args {
             "--out" => out = PathBuf::from(need(&mut it, "--out", "a directory argument")),
             "--impl" => impl_ = need(&mut it, "--impl", "a value (am | am-en | md | all)"),
             "--nodes" => {
-                nodes = numeric("--nodes", &need(&mut it, "--nodes", "a node count")) as u32
+                let v = need(&mut it, "--nodes", "a node count");
+                nodes = count("--nodes", &v, tamsim_net::MAX_NODES);
             }
             "--policy" => policy = need(&mut it, "--policy", "a value (rr | local | steal)"),
             "--rate" => {
@@ -207,10 +218,9 @@ fn parse_args() -> Args {
                 });
             }
             "--requests" => {
-                requests = numeric(
-                    "--requests",
-                    &need(&mut it, "--requests", "a request count"),
-                ) as u32
+                // Request ids ride in the local part of a node-tagged word.
+                let v = need(&mut it, "--requests", "a request count");
+                requests = count("--requests", &v, tamsim_net::LOCAL_MASK);
             }
             "--arrivals" => arrivals = need(&mut it, "--arrivals", "a value (poisson | fixed)"),
             "--origins" => origins = need(&mut it, "--origins", "a value (uniform | corner)"),
@@ -222,8 +232,8 @@ fn parse_args() -> Args {
             "--no-predecode" => no_predecode = true,
             "--trace-net" => trace_net = true,
             "--threads" => {
-                threads =
-                    Some(numeric("--threads", &need(&mut it, "--threads", "a thread count")) as u32)
+                let v = need(&mut it, "--threads", "a thread count");
+                threads = Some(count("--threads", &v, u32::MAX));
             }
             "--help" | "-h" => {
                 print!("{}", help_text());
@@ -1177,7 +1187,8 @@ fn run_fuzz(args: &Args) {
             ""
         },
         if args.mesh {
-            " (+ 1x1-mesh bit-identity per back-end, 4-node lockstep vs fast-forward)"
+            " (+ 1x1-mesh bit-identity per back-end, lockstep vs fast-forward on 4 and 72 \
+             nodes, parallel x2 on 4)"
         } else {
             ""
         }

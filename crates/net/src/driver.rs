@@ -24,9 +24,17 @@
 //! for the differential tests and `tamsim perf --mesh`). Whenever any
 //! machine is runnable, or a ready message is merely stuck behind
 //! back-pressure, the driver falls back to lockstep stepping.
+//!
+//! **Activity-proportional stepping.** Between jumps the fast-forward
+//! driver touches only what is active: the *awake* machines (a set kept
+//! exact at every wake-up point and after every step) and the fabric's
+//! occupied buffers ([`Fabric`]'s occupancy index). An idle node's
+//! timeline is written when it next runs or the run ends
+//! ([`ActivityTrack`]). Lockstep keeps its eager loops over every node.
 
 use crate::fabric::{Fabric, LinkStat, NetConfig, NetStats};
 use crate::hooks::{NetHooks, NoNetHooks};
+use crate::nodeset::NodeSet;
 use crate::place::{Placement, PlacementPolicy};
 use crate::port::NodePort;
 use crate::serve::{ReqCell, ServePlan, ServeState};
@@ -77,15 +85,26 @@ pub struct ActivityTrack {
 }
 
 impl ActivityTrack {
+    /// Record one cycle of `state`. Cycles between the end of the track
+    /// and `cycle` were never recorded because the node sat idle through
+    /// them (the fast-forward driver records an idle node lazily, when it
+    /// next runs or the run ends), so they become an `Idle` span first.
+    /// Spans are maximal either way, so a lazily recorded track is
+    /// bit-identical to one recorded cycle by cycle.
     pub(crate) fn record(&mut self, cycle: u64, state: NodeState) {
-        self.record_span(cycle, state, 1);
+        self.close(cycle);
+        self.extend(cycle, state, 1);
     }
 
-    /// Record `n` consecutive cycles of `state` starting at `cycle` —
-    /// exactly what `n` single-cycle records would produce (the spans are
-    /// maximal either way), so the fast-forward driver's bulk idle spans
-    /// are bit-identical to lockstep's cycle-by-cycle ones.
-    pub(crate) fn record_span(&mut self, cycle: u64, state: NodeState, n: u64) {
+    /// Record `Idle` from the end of the track up to `end` (exclusive).
+    pub(crate) fn close(&mut self, end: u64) {
+        let last = self.spans.last().map_or(0, |s| s.start + s.cycles);
+        if last < end {
+            self.extend(last, NodeState::Idle, end - last);
+        }
+    }
+
+    fn extend(&mut self, cycle: u64, state: NodeState, n: u64) {
         if let Some(last) = self.spans.last_mut() {
             if last.state == state && last.start + last.cycles == cycle {
                 last.cycles += n;
@@ -106,6 +125,20 @@ impl ActivityTrack {
             .filter(|s| s.state == state)
             .map(|s| s.cycles)
             .sum()
+    }
+}
+
+/// Close every node's track when a run stops at `cycles`. A node that
+/// was idle since its last record stayed idle to the end, except at an
+/// explicit halt: the halting node's cycle ends the mesh mid-phase, so
+/// nodes after it never stepped in that last cycle and end one earlier.
+pub(crate) fn close_tracks(activity: &mut [ActivityTrack], cycles: u64, halted: Option<usize>) {
+    for (n, track) in activity.iter_mut().enumerate() {
+        let end = match halted {
+            Some(h) if n > h => cycles - 1,
+            _ => cycles,
+        };
+        track.close(end);
     }
 }
 
@@ -496,6 +529,12 @@ impl MeshExperiment {
             let mut stall_cycles = vec![0u64; k];
             let mut activity = vec![ActivityTrack::default(); k];
             let mut halted_node: Option<usize> = None;
+            let all_nodes = NodeSet::full(self.nodes);
+            // The machines a step can advance (`Wake::Now`), kept exact at
+            // every point a machine wakes — serve-pump injection, backstop
+            // re-arm, delivery, migration install — or goes idle (after
+            // its step). Every node boots with its scheduler started.
+            let mut awake = all_nodes;
 
             let halt = loop {
                 // Serve mode: the arrival pump runs at the top of every
@@ -510,15 +549,20 @@ impl MeshExperiment {
                         &mut *net_hooks,
                         linked.start_low,
                         self.implementation.is_am(),
+                        |n| awake.insert(n),
                     );
                 }
+                debug_assert!(
+                    (0..k).all(|n| awake.contains(n as u32) != machines[n].is_idle()),
+                    "awake set out of step with the machines"
+                );
 
-                // One wake scan serves both the quiescence check and the
+                // One wake check serves both the quiescence check and the
                 // fast-forward decision (`Wake::OnDelivery` is exactly
-                // "idle"); the lockstep path keeps PR 4's order — fabric
-                // occupancy scan first — so its cost profile is untouched.
+                // "idle", i.e. not awake); the lockstep path keeps PR 4's
+                // eager scans — fabric occupancy first, then every machine.
                 let all_waiting = if self.fast_forward {
-                    machines.iter().all(|m| m.next_wake() == Wake::OnDelivery)
+                    awake.is_empty()
                 } else {
                     fabric.is_empty() && machines.iter().all(Machine::is_idle)
                 };
@@ -535,9 +579,10 @@ impl MeshExperiment {
                     // the 1×1 run bit-identical.)
                     let mut rearmed = false;
                     if self.nodes > 1 && self.implementation.is_am() {
-                        for m in &mut machines {
+                        for (n, m) in machines.iter_mut().enumerate() {
                             if m.mem.read(linked.net.q_head).bits() != 0 {
                                 m.start_low(linked.start_low);
+                                awake.insert(n as u32);
                                 rearmed = true;
                                 backstop_rearms += 1;
                             }
@@ -558,10 +603,6 @@ impl MeshExperiment {
                                     .expect("idle serve run with requests unaccounted for");
                                 debug_assert!(target > cycle);
                                 if self.fast_forward {
-                                    let delta = target - cycle;
-                                    for a in &mut activity {
-                                        a.record_span(cycle, NodeState::Idle, delta);
-                                    }
                                     fabric.skip_to(target);
                                     cycle = target;
                                     last_progress = target;
@@ -577,9 +618,10 @@ impl MeshExperiment {
                 // Event-horizon fast-forward: when no machine is runnable
                 // the only possible events are the fabric's, and its next
                 // move/delivery edge is already scheduled. Jump straight
-                // there; every skipped iteration would have stepped K idle
-                // machines to `Idle` and ticked a fabric with no ready
-                // head — pure no-ops. Falls back to lockstep whenever any
+                // there; every skipped iteration would have left every
+                // machine idle and ticked a fabric with no ready head —
+                // pure no-ops (the idle cycles land in each node's track
+                // when it next runs). Falls back to lockstep whenever any
                 // machine is runnable or a ready head is stuck behind
                 // back-pressure (`next_horizon` returns `None`).
                 // (`!fabric_empty` also skips the jump after a backstop
@@ -604,10 +646,6 @@ impl MeshExperiment {
                             self.double_queues_for_gridlock(&mut queue_words);
                             continue 'attempt;
                         }
-                        let delta = target - cycle;
-                        for a in &mut activity {
-                            a.record_span(cycle, NodeState::Idle, delta);
-                        }
                         fabric.skip_to(target);
                         cycle = target;
                         // Arrivals due exactly at `target` inject now —
@@ -623,6 +661,7 @@ impl MeshExperiment {
                                 &mut *net_hooks,
                                 linked.start_low,
                                 self.implementation.is_am(),
+                                |n| awake.insert(n),
                             );
                         }
                     }
@@ -641,22 +680,26 @@ impl MeshExperiment {
                     eng.settle(&steal_installed, &steal_freed, &mut machines);
                     steal_installed.clear();
                     steal_freed.clear();
-                    if machines.iter().any(|m| m.next_wake() == Wake::Now) {
+                    let runnable = if self.fast_forward {
+                        !awake.is_empty()
+                    } else {
+                        machines.iter().any(|m| m.next_wake() == Wake::Now)
+                    };
+                    if runnable {
                         eng.scan(&mut machines, &mut fabric, &mut placement, &mut *net_hooks);
                     }
                 }
 
-                // (1) Every node executes at most one instruction.
+                // (1) Every node executes at most one instruction. The
+                // fast-forward driver steps only awake machines: an idle
+                // machine's step is a guaranteed no-op (no hooks, no state
+                // change), and nothing in this phase can wake it — a step
+                // touches only its own machine, and deliveries happen in
+                // phase (3). Lockstep steps every machine.
                 let mut progress = false;
-                for n in 0..k {
-                    if self.fast_forward && machines[n].is_idle() {
-                        // An idle machine's step is a guaranteed no-op
-                        // (no hooks, no state change), and nothing in
-                        // this phase can wake it — deliveries happen in
-                        // phase (3) — so skip the call.
-                        activity[n].record(cycle, NodeState::Idle);
-                        continue;
-                    }
+                let stepping = if self.fast_forward { awake } else { all_nodes };
+                for n in stepping.iter() {
+                    let n = n as usize;
                     // Dispatch is a free transition inside the machine, so
                     // the driver attributes it by counter delta: whatever
                     // the step dispatched came from the head of that
@@ -722,6 +765,9 @@ impl MeshExperiment {
                             program.name, self.implementation
                         ),
                     }
+                    if machines[n].is_idle() {
+                        awake.remove(n as u32);
+                    }
                 }
                 if halted_node.is_some() {
                     break HaltReason::Explicit;
@@ -747,8 +793,16 @@ impl MeshExperiment {
                 }
                 fabric.tick_traced(&mut *net_hooks);
 
-                // (3) Each NI retires at most one arrived message.
-                for n in 0..k {
+                // (3) Each NI retires at most one arrived message. Only a
+                // node with a queued receive message can retire one, and
+                // no node gains one in this phase; lockstep visits all.
+                let delivering = if self.fast_forward {
+                    fabric.recv_nodes()
+                } else {
+                    all_nodes
+                };
+                for n in delivering.iter() {
+                    let n = n as usize;
                     // Work stealing intercepts two message shapes before
                     // ordinary delivery: a migration installs its frame
                     // into this node, and a message addressed to a
@@ -763,6 +817,7 @@ impl MeshExperiment {
                                 let old = words[2].bits() as u32;
                                 if eng.try_install(&mut machines[n], &words, linked.start_low) {
                                     fabric.pop_recv_traced(n as u32, &mut *net_hooks);
+                                    awake.insert(n as u32);
                                     progress = true;
                                     steal_installed.push(old);
                                 } else {
@@ -810,6 +865,7 @@ impl MeshExperiment {
                     };
                     if delivered {
                         fabric.pop_recv_traced(n as u32, &mut *net_hooks);
+                        awake.insert(n as u32);
                         progress = true;
                         // AM's background scheduler suspends for good once
                         // its frame queue drains — on a single node that
@@ -838,6 +894,11 @@ impl MeshExperiment {
                     continue 'attempt;
                 }
             };
+            if self.fast_forward {
+                // Lockstep recorded every node every cycle; leaving its
+                // tracks alone keeps it an independent oracle for this.
+                close_tracks(&mut activity, cycle, halted_node);
+            }
 
             let stats: Vec<RunStats> = machines
                 .iter()

@@ -14,9 +14,21 @@
 //! accept its next message for `⌈L/B⌉` cycles (serialization). All
 //! movement is evaluated in a fixed order (node index, then input port
 //! order, then the inject queue), so runs are bit-deterministic.
+//!
+//! **Occupancy index.** The fabric keeps two `NodeSet`s: nodes holding a
+//! message in a source queue (a link input or the inject queue), with
+//! each node's earliest head `ready_at`, and nodes holding a message in
+//! the receive queue. [`Fabric::tick`] and [`Fabric::next_horizon`] visit
+//! only indexed nodes, so a mostly-empty fabric costs what it carries,
+//! not what it spans. A tick walks the *live* index in ascending order:
+//! a message that enters a higher node's empty buffer during the tick
+//! (ready at once when `hop_latency` is 0) is still moved in that tick,
+//! exactly as the full scan moves it.
 
 use crate::hooks::{BufKind, NetHooks, NoNetHooks};
+use crate::nodeset::NodeSet;
 use crate::topology::{Dir, MeshTopology};
+use crate::MAX_NODES;
 use std::collections::VecDeque;
 use tamsim_mdp::{Priority, Word};
 
@@ -258,11 +270,25 @@ pub struct Fabric {
     /// Deliver stalls attributed to each destination node (the global
     /// [`NetStats::deliver_stalls`] is the sum of these).
     deliver_stalls_by_node: Vec<u64>,
+    /// Nodes with a message in a source queue (link inputs or inject).
+    src_nodes: NodeSet,
+    /// Earliest head `ready_at` over each node's source queues
+    /// (`u64::MAX` when they are all empty).
+    src_ready: Vec<u64>,
+    /// Nodes with a message in their receive queue.
+    recv_nodes: NodeSet,
 }
 
 impl Fabric {
     /// An empty fabric over `topo`.
+    ///
+    /// # Panics
+    /// Panics when `topo` has more than [`MAX_NODES`] nodes.
     pub fn new(topo: MeshTopology, cfg: NetConfig) -> Self {
+        assert!(
+            topo.nodes() <= MAX_NODES,
+            "a fabric spans at most {MAX_NODES} nodes"
+        );
         let n = topo.nodes() as usize;
         Fabric {
             topo,
@@ -276,6 +302,9 @@ impl Fabric {
             stats: NetStats::default(),
             next_trace_id: 0,
             deliver_stalls_by_node: vec![0; n],
+            src_nodes: NodeSet::default(),
+            src_ready: vec![u64::MAX; n],
+            recv_nodes: NodeSet::default(),
         }
     }
 
@@ -338,6 +367,7 @@ impl Fabric {
             trace_id: id,
         };
         self.inject[src as usize].push(msg, self.now, &self.cfg);
+        self.sync_src(src);
         self.stats.injected_msgs += 1;
         self.stats.injected_words += len as u64;
         self.in_flight += 1;
@@ -361,7 +391,14 @@ impl Fabric {
 
     /// [`Fabric::tick`] with observation hooks.
     pub fn tick_traced<H: NetHooks>(&mut self, hooks: &mut H) {
-        for node in 0..self.nodes() {
+        // Follow the live index (not a snapshot): a move can fill a
+        // higher node's empty buffer with a message that is ready now.
+        let mut from = 0;
+        while let Some(node) = self.src_nodes.next_from(from) {
+            from = node + 1;
+            if self.src_ready[node as usize] > self.now {
+                continue; // no head at this node can move yet
+            }
             for src_q in Self::source_queues(node) {
                 let Some(head) = self.buffer(src_q).ready_front(self.now) else {
                     continue;
@@ -372,6 +409,7 @@ impl Fabric {
                     if self.recv[node as usize].can_accept(len, self.now) {
                         let msg = self.buffer_mut(src_q).pop();
                         self.recv[node as usize].push(msg, self.now, &self.cfg);
+                        self.recv_nodes.insert(node);
                         self.moves += 1;
                         hooks.eject(id, node, self.now);
                         if H::ENABLED {
@@ -401,6 +439,7 @@ impl Fabric {
                         msg.hops += 1;
                         self.stats.hop_traversals += 1;
                         self.links[target].push(msg, self.now, &self.cfg);
+                        self.sync_src(next);
                         self.moves += 1;
                         hooks.hop(id, node, d, self.now);
                         if H::ENABLED {
@@ -423,6 +462,8 @@ impl Fabric {
                     }
                 }
             }
+            // Moves only ever leave this node, so one re-sync covers them.
+            self.sync_src(node);
         }
         self.now += 1;
     }
@@ -441,6 +482,7 @@ impl Fabric {
     /// [`Fabric::pop_recv`] with observation hooks.
     pub fn pop_recv_traced<H: NetHooks>(&mut self, node: u32, hooks: &mut H) -> Message {
         let msg = self.recv[node as usize].pop();
+        self.sync_recv(node);
         self.stats.delivered_msgs += 1;
         self.stats.delivered_words += msg.words.len() as u64;
         self.stats.latency_total += self.now - msg.injected_at;
@@ -557,24 +599,53 @@ impl Fabric {
     /// caller must fall back to lockstep. Also `None` on an empty fabric.
     pub fn next_horizon(&self) -> Option<u64> {
         let mut h = u64::MAX;
-        for b in self.links.iter().chain(&self.inject) {
-            if let Some(f) = b.q.front() {
-                if f.ready_at <= self.now {
-                    return None;
-                }
-                h = h.min(f.ready_at);
+        for node in self.src_nodes.iter() {
+            let ready = self.src_ready[node as usize];
+            if ready <= self.now {
+                return None;
             }
+            h = h.min(ready);
         }
-        for b in &self.recv {
-            if let Some(f) = b.q.front() {
-                let t = f.ready_at.saturating_sub(1);
-                if t <= self.now {
-                    return None;
-                }
-                h = h.min(t);
+        for node in self.recv_nodes.iter() {
+            let f = self.recv[node as usize].q.front().expect("indexed recv");
+            let t = f.ready_at.saturating_sub(1);
+            if t <= self.now {
+                return None;
             }
+            h = h.min(t);
         }
         (h != u64::MAX).then_some(h)
+    }
+
+    /// Nodes whose receive queue holds a message (a copy of the index:
+    /// the delivery phase only removes members, never adds them).
+    pub(crate) fn recv_nodes(&self) -> NodeSet {
+        self.recv_nodes
+    }
+
+    /// Re-derive `node`'s source-queue entry of the occupancy index.
+    fn sync_src(&mut self, node: u32) {
+        let n = node as usize;
+        let ready = self.links[n * 4..n * 4 + 4]
+            .iter()
+            .chain(std::iter::once(&self.inject[n]))
+            .filter_map(|b| b.q.front().map(|f| f.ready_at))
+            .min();
+        self.src_ready[n] = ready.unwrap_or(u64::MAX);
+        if ready.is_some() {
+            self.src_nodes.insert(node);
+        } else {
+            self.src_nodes.remove(node);
+        }
+    }
+
+    /// Re-derive `node`'s receive-queue entry of the occupancy index.
+    fn sync_recv(&mut self, node: u32) {
+        if self.recv[node as usize].is_empty() {
+            self.recv_nodes.remove(node);
+        } else {
+            self.recv_nodes.insert(node);
+        }
     }
 
     /// Jump the fabric clock forward to `cycle` in one step.
@@ -637,8 +708,10 @@ enum SourceQueue {
 /// atomics (and order-perturb nothing anyway — sums commute), each worker
 /// accumulates deltas and the main thread sums them at the next barrier,
 /// which keeps every published statistic bit-identical to the serial
-/// drivers.
-#[derive(Debug, Clone, Copy, Default)]
+/// drivers. The same goes for the occupancy index: a worker lists the
+/// nodes whose buffers it changed, and the main thread re-syncs just
+/// those.
+#[derive(Debug, Clone, Default)]
 pub struct LaneDeltas {
     /// Messages accepted into an inject queue.
     pub injected_msgs: u64,
@@ -656,6 +729,21 @@ pub struct LaneDeltas {
     pub deliver_stalls: u64,
     /// Net change in buffered messages (+1 per inject, −1 per delivery).
     pub in_flight: i64,
+    /// Nodes whose inject or receive buffer changed (repeats allowed).
+    pub touched: Vec<u32>,
+}
+
+impl LaneDeltas {
+    /// Zero every counter for the next round, keeping `touched`'s
+    /// allocation.
+    pub(crate) fn clear(&mut self) {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        *self = LaneDeltas {
+            touched,
+            ..LaneDeltas::default()
+        };
+    }
 }
 
 /// Raw per-node views of the fabric's endpoint buffers, for the parallel
@@ -730,6 +818,7 @@ impl FabricLanes {
         d.injected_msgs += 1;
         d.injected_words += len as u64;
         d.in_flight += 1;
+        d.touched.push(src);
         true
     }
 
@@ -753,6 +842,7 @@ impl FabricLanes {
         d.delivered_words += msg.words.len() as u64;
         d.latency_total += now - msg.injected_at;
         d.in_flight -= 1;
+        d.touched.push(node);
     }
 
     /// Mirror of [`Fabric::note_deliver_stall_traced`] (untraced).
@@ -781,10 +871,15 @@ impl Fabric {
         }
     }
 
-    /// Fold one worker's [`LaneDeltas`] into the global counters. Sums
-    /// commute, so absorbing per-worker deltas in any fixed order yields
-    /// the same [`NetStats`] the serial drivers produce.
+    /// Fold one worker's [`LaneDeltas`] into the global counters and
+    /// re-sync the occupancy index at the nodes it touched. Sums commute,
+    /// so absorbing per-worker deltas in any fixed order yields the same
+    /// [`NetStats`] the serial drivers produce.
     pub fn absorb(&mut self, d: &LaneDeltas) {
+        for &node in &d.touched {
+            self.sync_src(node);
+            self.sync_recv(node);
+        }
         self.stats.injected_msgs += d.injected_msgs;
         self.stats.injected_words += d.injected_words;
         self.stats.delivered_msgs += d.delivered_msgs;
@@ -809,6 +904,207 @@ mod tests {
     fn pump(f: &mut Fabric, cycles: u32) {
         for _ in 0..cycles {
             f.tick();
+        }
+    }
+
+    /// The full scans the occupancy index replaced, kept as the oracle
+    /// for [`occupancy_index_matches_the_full_scan_reference`]: every
+    /// node and every source queue on every tick, every buffer on every
+    /// horizon query. They read buffers only, never the index.
+    impl Fabric {
+        fn tick_reference(&mut self) {
+            for node in 0..self.nodes() {
+                for src_q in Self::source_queues(node) {
+                    let Some(head) = self.buffer(src_q).ready_front(self.now) else {
+                        continue;
+                    };
+                    let (dest, len) = (head.dest, head.words.len() as u32);
+                    if dest == node {
+                        if self.recv[node as usize].can_accept(len, self.now) {
+                            let msg = self.buffer_mut(src_q).pop();
+                            self.recv[node as usize].push(msg, self.now, &self.cfg);
+                            self.moves += 1;
+                        } else {
+                            self.buffer_mut(src_q).tel.stall_cycles += 1;
+                        }
+                    } else {
+                        let d = self.topo.next_hop(node, dest);
+                        let next = self.topo.neighbor(node, d);
+                        let target = (next as usize) * 4 + d.index();
+                        if self.links[target].can_accept(len, self.now) {
+                            let mut msg = self.buffer_mut(src_q).pop();
+                            msg.hops += 1;
+                            self.stats.hop_traversals += 1;
+                            self.links[target].push(msg, self.now, &self.cfg);
+                            self.moves += 1;
+                        } else {
+                            self.buffer_mut(src_q).tel.stall_cycles += 1;
+                        }
+                    }
+                }
+            }
+            self.now += 1;
+        }
+
+        fn next_horizon_reference(&self) -> Option<u64> {
+            let mut h = u64::MAX;
+            for b in self.links.iter().chain(&self.inject) {
+                if let Some(f) = b.q.front() {
+                    if f.ready_at <= self.now {
+                        return None;
+                    }
+                    h = h.min(f.ready_at);
+                }
+            }
+            for b in &self.recv {
+                if let Some(f) = b.q.front() {
+                    let t = f.ready_at.saturating_sub(1);
+                    if t <= self.now {
+                        return None;
+                    }
+                    h = h.min(t);
+                }
+            }
+            (h != u64::MAX).then_some(h)
+        }
+    }
+
+    /// SplitMix64, for the seeded schedules below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            ((self.next() as u128 * n as u128) >> 64) as u64
+        }
+    }
+
+    /// The indexed fabric against the full-scan reference, cycle by
+    /// cycle, on seeded bursty inject/deliver schedules over a 72-node
+    /// mesh (an index spanning two words): bursts alternate with long
+    /// quiet stretches, and a quarter of ready deliveries are refused so
+    /// back-pressure reaches the last hop. Zero hop latency with 1-word
+    /// messages makes a message ready in the buffer it just entered, so
+    /// it can cross several hops in one tick — only a tick that follows
+    /// the live index reproduces that. 8-word buffers keep ready heads
+    /// stuck, which exercises the per-cycle stall accounting.
+    #[test]
+    fn occupancy_index_matches_the_full_scan_reference() {
+        let small = NetConfig {
+            link_capacity: 8,
+            inject_capacity: 8,
+            recv_capacity: 8,
+            ..NetConfig::default()
+        };
+        let zero = NetConfig {
+            hop_latency: 0,
+            ..NetConfig::default()
+        };
+        let cases = [
+            (1, zero, 1),
+            (
+                2,
+                NetConfig {
+                    hop_latency: 0,
+                    ..small
+                },
+                1,
+            ),
+            (
+                3,
+                NetConfig {
+                    hop_latency: 0,
+                    ..small
+                },
+                8,
+            ),
+            (4, small, 8),
+            (
+                5,
+                NetConfig {
+                    hop_latency: 3,
+                    link_bandwidth: 2,
+                    ..NetConfig::default()
+                },
+                6,
+            ),
+        ];
+        let topo = MeshTopology::for_nodes(72);
+        for (seed, cfg, max_len) in cases {
+            let mut fast = Fabric::new(topo, cfg);
+            let mut slow = Fabric::new(topo, cfg);
+            let mut rng = Rng(seed);
+            for cycle in 0..3000u64 {
+                let ctx = format!("seed {seed}, cycle {cycle}, {cfg:?}, max {max_len} words");
+                assert_eq!(
+                    fast.next_horizon(),
+                    slow.next_horizon_reference(),
+                    "horizon differs: {ctx}"
+                );
+                // 150 busy cycles, then 350 quiet ones with a rare send.
+                let injections = if cycle % 500 < 150 {
+                    rng.below(16)
+                } else {
+                    u64::from(rng.below(64) == 0)
+                };
+                for _ in 0..injections {
+                    let src = rng.below(72) as u32;
+                    let dest = rng.below(72) as u32;
+                    let pri = if rng.below(2) == 0 {
+                        Priority::Low
+                    } else {
+                        Priority::High
+                    };
+                    let words = msg_words(1 + rng.below(max_len) as usize);
+                    assert_eq!(
+                        fast.try_inject(src, dest, pri, &words),
+                        slow.try_inject(src, dest, pri, &words),
+                        "inject outcome differs: {ctx}"
+                    );
+                }
+                fast.tick();
+                slow.tick_reference();
+                for node in 0..72 {
+                    let head = fast.ready_recv(node).map(|m| m.trace_id);
+                    assert_eq!(
+                        head,
+                        slow.ready_recv(node).map(|m| m.trace_id),
+                        "ready head differs at node {node}: {ctx}"
+                    );
+                    if head.is_none() {
+                        continue;
+                    }
+                    if rng.below(4) == 0 {
+                        fast.note_deliver_stall(node);
+                        slow.note_deliver_stall(node);
+                    } else {
+                        fast.pop_recv(node);
+                        slow.pop_recv(node);
+                    }
+                }
+                assert_eq!(fast.stats(), slow.stats(), "stats differ: {ctx}");
+                assert_eq!(
+                    fast.link_stats(),
+                    slow.link_stats(),
+                    "link stats differ: {ctx}"
+                );
+            }
+            let stats = fast.stats();
+            assert!(
+                stats.delivered_msgs > 1000 && stats.deliver_stalls > 0,
+                "schedule too tame to test anything: {stats:?}"
+            );
+            assert!(
+                fast.link_stats().iter().any(|r| r.stall_cycles > 0),
+                "no hop stalls under seed {seed}"
+            );
         }
     }
 

@@ -35,6 +35,7 @@
 pub mod driver;
 pub mod fabric;
 pub mod hooks;
+mod nodeset;
 pub mod par;
 pub mod place;
 pub mod port;

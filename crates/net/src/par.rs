@@ -26,7 +26,11 @@
 //! (`Release`), runs its own chunk, then spins until every worker has
 //! published `done[t] == seq` (`Acquire`). Global fabric counters are
 //! accumulated per worker in [`LaneDeltas`] and summed at the barrier
-//! (sums commute, so the totals match the serial order).
+//! (sums commute, so the totals match the serial order); the deltas also
+//! list the nodes whose endpoint buffers a worker changed, and the fold
+//! re-syncs just those entries of the fabric's occupancy index. Unlike
+//! the serial fast-forward driver, the workers still visit every node of
+//! their chunk in both phases.
 //!
 //! ## Determinism
 //!
@@ -61,7 +65,7 @@
 //! counts.
 
 use crate::driver::{
-    ActivityTrack, MeshExperiment, MeshRunResult, NodeHooks, NodeState, ThreadStats,
+    close_tracks, ActivityTrack, MeshExperiment, MeshRunResult, NodeHooks, NodeState, ThreadStats,
 };
 use crate::fabric::{Fabric, FabricLanes, LaneDeltas};
 use crate::place::Placement;
@@ -191,7 +195,7 @@ impl SharedMesh<'_, '_> {
         let slot = unsafe { &mut *self.slots.add(t) };
         slot.progress = false;
         slot.error = None;
-        slot.deltas = LaneDeltas::default();
+        slot.deltas.clear();
         slot.completed = 0;
         match cmd {
             Cmd::Step { now } => unsafe { self.step_chunk(t, seq, now, slot) },
@@ -688,6 +692,7 @@ impl MeshExperiment {
                             &mut crate::hooks::NoNetHooks,
                             linked.start_low,
                             self.implementation.is_am(),
+                            |_| {},
                         );
                     }
                     let all_waiting = if self.fast_forward {
@@ -720,10 +725,6 @@ impl MeshExperiment {
                                         .expect("idle serve run with requests unaccounted for");
                                     debug_assert!(target > cycle);
                                     if self.fast_forward {
-                                        let delta = target - cycle;
-                                        for a in &mut activity {
-                                            a.record_span(cycle, NodeState::Idle, delta);
-                                        }
                                         fabric.skip_to(target);
                                         cycle = target;
                                         last_progress = target;
@@ -747,10 +748,6 @@ impl MeshExperiment {
                             if target > last_progress + self.watchdog_cycles {
                                 return End::Gridlock;
                             }
-                            let delta = target - cycle;
-                            for a in &mut activity {
-                                a.record_span(cycle, NodeState::Idle, delta);
-                            }
                             fabric.skip_to(target);
                             cycle = target;
                             // Arrivals due exactly at `target` inject now
@@ -764,6 +761,7 @@ impl MeshExperiment {
                                     &mut crate::hooks::NoNetHooks,
                                     linked.start_low,
                                     self.implementation.is_am(),
+                                    |_| {},
                                 );
                             }
                         }
@@ -939,6 +937,9 @@ impl MeshExperiment {
                     continue 'attempt;
                 }
                 End::Done(halt, halted_node, cycle) => {
+                    if self.fast_forward {
+                        close_tracks(&mut activity, cycle, halted_node);
+                    }
                     let stats: Vec<RunStats> = machines
                         .iter()
                         .enumerate()

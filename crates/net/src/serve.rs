@@ -341,6 +341,8 @@ pub(crate) struct ServeState<'p> {
     next: usize,
     /// Per-node FIFOs of arrived-but-not-yet-injected request ids.
     pending: Vec<VecDeque<u32>>,
+    /// Requests held in `pending`, over all nodes.
+    held: usize,
     pub(crate) cells: Vec<ReqCell>,
     pub(crate) injected: u64,
     pub(crate) completed: u64,
@@ -354,6 +356,7 @@ impl<'p> ServeState<'p> {
             done_addr: linked.net.done_addr as u64,
             next: 0,
             pending: vec![VecDeque::new(); nodes],
+            held: 0,
             cells: vec![ReqCell::default(); plan.arrivals.len()],
             injected: 0,
             completed: 0,
@@ -363,7 +366,7 @@ impl<'p> ServeState<'p> {
     /// Every request has arrived, been injected, and completed.
     pub(crate) fn drained(&self) -> bool {
         self.next == self.arrivals.len()
-            && self.pending.iter().all(VecDeque::is_empty)
+            && self.held == 0
             && self.completed == self.cells.len() as u64
     }
 
@@ -395,7 +398,8 @@ impl<'p> ServeState<'p> {
     /// driver (inside the parallel driver's serial window): release due
     /// arrivals into their origin FIFOs, then inject each node's queue
     /// head-first until its machine queue refuses — held requests stay
-    /// in arrival order and retry next cycle.
+    /// in arrival order and retry next cycle. `wake` hears of every node
+    /// whose machine an injection made runnable.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn pump<H: NetHooks>(
         &mut self,
@@ -406,13 +410,18 @@ impl<'p> ServeState<'p> {
         net_hooks: &mut H,
         start_low: u32,
         is_am: bool,
+        mut wake: impl FnMut(u32),
     ) {
         while let Some(a) = self.arrivals.get(self.next) {
             if a.cycle > cycle {
                 break;
             }
             self.pending[a.node as usize].push_back(a.id);
+            self.held += 1;
             self.next += 1;
+        }
+        if self.held == 0 {
+            return;
         }
         for n in 0..machines.len() {
             while let Some(&id) = self.pending[n].front() {
@@ -421,6 +430,8 @@ impl<'p> ServeState<'p> {
                     break; // full queue: hold, nothing consumed
                 }
                 self.pending[n].pop_front();
+                self.held -= 1;
+                wake(n as u32);
                 self.cells[id as usize].injected = cycle;
                 self.injected += 1;
                 // The boot's falloc never crosses the NI, so the census

@@ -155,6 +155,10 @@ pub struct StealEngine {
     entries: Vec<ForwardEntry>,
     by_old: HashMap<u32, usize>,
     by_new: HashMap<u32, usize>,
+    /// Pending entries targeting each node: migrations in flight toward
+    /// it. Kept on every Pending edge (create +1, activate or retire
+    /// while Pending −1) so the scan never re-reads the directory.
+    inbound: Vec<u32>,
     reclaims: Vec<PendingReclaim>,
     /// Frames stolen from each node (victim-attributed).
     pub steals_from: Vec<u64>,
@@ -174,6 +178,7 @@ impl StealEngine {
             entries: Vec::new(),
             by_old: HashMap::new(),
             by_new: HashMap::new(),
+            inbound: vec![0; topo.nodes() as usize],
             reclaims: Vec::new(),
             steals_from: vec![0; topo.nodes() as usize],
         }
@@ -228,6 +233,18 @@ impl StealEngine {
     /// All entries in creation order (tests and diagnostics).
     pub fn entries(&self) -> &[ForwardEntry] {
         &self.entries
+    }
+
+    /// The pending-inbound counts recounted from the entries (the
+    /// reference `settle` checks the incremental counts against).
+    fn recount_pending_inbound(&self) -> Vec<u32> {
+        let mut counts = vec![0; self.inbound.len()];
+        for e in &self.entries {
+            if e.state == ForwardState::Pending {
+                counts[node_of(e.new) as usize] += 1;
+            }
+        }
+        counts
     }
 
     fn in_sys(&self, pc: Option<u32>) -> bool {
@@ -360,16 +377,10 @@ impl StealEngine {
         let k = machines.len();
         // Target pool: idle nodes with an empty frame queue and no
         // migration already inbound (a Pending entry targeting them).
-        let mut inbound = vec![false; k];
-        for e in &self.entries {
-            if e.state == ForwardState::Pending {
-                inbound[node_of(e.new) as usize] = true;
-            }
-        }
         let mut targets: Vec<u32> = (0..k as u32)
             .filter(|&b| {
                 machines[b as usize].is_idle()
-                    && !inbound[b as usize]
+                    && self.inbound[b as usize] == 0
                     && machines[b as usize].mem.read(self.info.q_head).bits() == 0
             })
             .collect();
@@ -504,6 +515,7 @@ impl StealEngine {
                 });
                 self.by_old.insert(tail, idx);
                 self.by_new.insert(new, idx);
+                self.inbound[b as usize] += 1;
                 placement.freed(a);
                 placement.commit(b);
                 self.steals_from[a as usize] += 1;
@@ -557,17 +569,24 @@ impl StealEngine {
     /// installed entry Pending → Active (`installed` holds the *old*
     /// addresses, folded in node order), retire entries whose frame
     /// died (`freed` holds captured *new* addresses), and push vacated
-    /// home slots back onto their home free lists.
+    /// home slots back onto their home free lists. Debug builds then
+    /// check the pending-inbound counts against a recount.
     pub fn settle(&mut self, installed: &[u32], freed: &[u32], machines: &mut [Machine<'_>]) {
         for &old in installed {
             let i = self.by_old[&old];
             debug_assert_eq!(self.entries[i].state, ForwardState::Pending);
             self.entries[i].state = ForwardState::Active;
+            self.inbound[node_of(self.entries[i].new) as usize] -= 1;
         }
         for &new in freed {
             self.retire_chain(new);
         }
         self.drain_reclaims(machines);
+        debug_assert_eq!(
+            self.inbound,
+            self.recount_pending_inbound(),
+            "pending-inbound counts drifted from the entries"
+        );
     }
 
     /// Retire the forwarding chain ending at `new` (the address the
@@ -577,6 +596,9 @@ impl StealEngine {
         let mut cur = new;
         while let Some(&i) = self.by_new.get(&cur) {
             let e = self.entries[i];
+            if e.state == ForwardState::Pending {
+                self.inbound[node_of(e.new) as usize] -= 1;
+            }
             self.entries[i].state = ForwardState::Retired;
             self.by_new.remove(&e.new);
             self.by_old.remove(&e.old);
@@ -648,6 +670,7 @@ mod tests {
             entries: Vec::new(),
             by_old: HashMap::new(),
             by_new: HashMap::new(),
+            inbound: vec![0; 4],
             reclaims: Vec::new(),
             steals_from: vec![0; 4],
         }
@@ -663,6 +686,9 @@ mod tests {
         });
         e.by_old.insert(old, idx);
         e.by_new.insert(new, idx);
+        if state == ForwardState::Pending {
+            e.inbound[node_of(new) as usize] += 1;
+        }
     }
 
     #[test]
@@ -722,6 +748,36 @@ mod tests {
         assert_eq!(e.pending_reclaims(), 1);
         e.retire_chain(b); // duplicate capture
         assert_eq!(e.pending_reclaims(), 1, "slot must reclaim exactly once");
+    }
+
+    #[test]
+    fn pending_inbound_counts_follow_every_pending_edge() {
+        let mut e = bare();
+        let a = node_tag(0) | 0x0040_0100;
+        let b = node_tag(1) | 0x0040_0200;
+        let c = node_tag(2) | 0x0040_0300;
+        let d = node_tag(1) | 0x0040_0400;
+        let g = node_tag(0) | 0x0040_0500;
+        let h = node_tag(2) | 0x0040_0600;
+        let i = node_tag(3) | 0x0040_0700;
+        // In flight: a → b and c → d toward node 1; g → h installed,
+        // then re-stolen as h → i toward node 3.
+        open(&mut e, a, b, ForwardState::Pending);
+        open(&mut e, c, d, ForwardState::Pending);
+        open(&mut e, g, h, ForwardState::Active);
+        open(&mut e, h, i, ForwardState::Pending);
+        assert_eq!(e.inbound, &[0, 2, 0, 1]);
+        assert_eq!(e.inbound, e.recount_pending_inbound());
+        // Pending → Active: `a`'s frame installs at `b`.
+        e.settle(&[a], &[], &mut []);
+        assert_eq!(e.inbound, &[0, 1, 0, 1]);
+        // Pending → Retired: the frame at `d` dies before its install.
+        e.settle(&[], &[d], &mut []);
+        assert_eq!(e.inbound, &[0, 0, 0, 1]);
+        // Retiring the chain g → h → i discounts only its Pending hop.
+        e.settle(&[], &[i], &mut []);
+        assert_eq!(e.inbound, &[0, 0, 0, 0]);
+        assert_eq!(e.inbound, e.recount_pending_inbound());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! fast-forward skipped a cycle that was not actually a no-op.
 
 use tamsim_core::Implementation;
-use tamsim_net::{MeshExperiment, MeshRunResult, NetConfig, NetTraceMode, PlacementPolicy};
+use tamsim_net::{
+    MeshExperiment, MeshRunResult, NetConfig, NetTraceMode, NodeState, PlacementPolicy,
+};
 use tamsim_programs as programs;
 use tamsim_tam::Program;
 
@@ -86,6 +88,36 @@ fn assert_differential(program: &Program, nodes: &[u32], net: NetConfig) {
 #[test]
 fn fib_fast_forward_is_bit_identical() {
     assert_differential(&programs::fib(12), &[1, 2, 4, 8], NetConfig::default());
+}
+
+/// The shapes the activity-proportional driver targets: wide meshes
+/// where a handful of machines run and a few messages fly while most
+/// nodes sit idle for long stretches, with awake and occupied sets that
+/// span several 64-bit words of the node index. Lockstep steps every
+/// machine and scans every buffer each cycle, so it is the oracle for
+/// the lazily recorded idle spans as much as for the cycle counts.
+#[test]
+fn fib_fast_forward_is_bit_identical_on_wide_meshes() {
+    let program = programs::fib(12);
+    for impl_ in [Implementation::Md, Implementation::Am] {
+        for nodes in [72, 256] {
+            for policy in [PlacementPolicy::RoundRobin, PlacementPolicy::LocalityAware] {
+                let exp = MeshExperiment::new(impl_, nodes).with_placement(policy);
+                let lock = exp.lockstep().run(&program);
+                let fast = exp.run(&program);
+                let ctx = format!("fib(12) under {impl_:?} on {nodes} nodes ({policy:?})");
+                assert_bit_identical(&lock, &fast, &ctx);
+                assert!(
+                    lock.activity
+                        .iter()
+                        .filter(|a| a.cycles_in(NodeState::Run) > 0)
+                        .count()
+                        > 1,
+                    "work never left one node: {ctx}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

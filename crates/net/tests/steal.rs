@@ -4,6 +4,11 @@
 //! rewrites, and home-slot reclamation all happen in the drivers' serial
 //! window, and the three drivers must agree bit-for-bit on every
 //! observable — including the per-node steal counts themselves.
+//!
+//! In debug builds every `StealEngine::settle` also checks the engine's
+//! pending-inbound counts (the scan's target filter) against a recount
+//! over its forwarding entries, so each run below audits them after
+//! every settle.
 
 use tamsim_core::Implementation;
 use tamsim_mdp::Word;
@@ -60,6 +65,39 @@ fn steal_is_bit_identical_across_drivers() {
             }
             assert!(
                 lock.steals.iter().sum::<u64>() > 0,
+                "no frames were migrated: {ctx}"
+            );
+        }
+    }
+}
+
+/// The serve shape the ledger measures: open-loop Poisson requests into
+/// one corner of a 4x4 mesh under `steal`, below the knee (1000 ppm:
+/// long idle gaps between requests) and in overload (20000 ppm: a deep
+/// corner backlog and a forwarding directory that grows all run). The
+/// fast-forward driver's awake set, lazy idle spans and pending-inbound
+/// counts must reproduce lockstep exactly, request by request.
+#[test]
+fn corner_serve_steal_fast_forward_matches_lockstep() {
+    let program = programs::fib(8);
+    for impl_ in [Implementation::Am, Implementation::AmEnabled] {
+        for rate_ppm in [1_000, 20_000] {
+            let cfg = ServeConfig {
+                origins: OriginDist::Corner,
+                ..ServeConfig::new(rate_ppm, 96, 7)
+            };
+            let exp = MeshExperiment::new(impl_, 16).with_placement(PlacementPolicy::WorkStealing);
+            let lock = exp.lockstep().serve(&program, &cfg);
+            let fast = exp.serve(&program, &cfg);
+            let ctx = format!("fib(8) corner serve under {impl_:?} at {rate_ppm} ppm");
+            assert_eq!(lock.records, fast.records, "request records differ: {ctx}");
+            assert_bit_identical(&lock.mesh, &fast.mesh, &ctx);
+            assert_eq!(
+                lock.mesh.backstop_rearms, fast.mesh.backstop_rearms,
+                "backstop re-arms differ: {ctx}"
+            );
+            assert!(
+                lock.mesh.steals.iter().sum::<u64>() > 0,
                 "no frames were migrated: {ctx}"
             );
         }

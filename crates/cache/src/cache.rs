@@ -114,15 +114,7 @@ impl Cache {
         } else {
             self.stats.reads += 1;
         }
-        self.probe_block(addr >> self.block_shift, is_write)
-    }
-
-    /// Core of [`Cache::access`], operating on a block number and leaving
-    /// the read/write access counters to the caller: the stripped-trace
-    /// replay counts accesses from the raw log once and probes only the
-    /// references its filter chain kept (the rest are guaranteed hits).
-    #[inline]
-    pub(crate) fn probe_block(&mut self, block: u32, is_write: bool) -> bool {
+        let block = addr >> self.block_shift;
         let set = (block & self.set_mask) as usize;
         let tag = block >> self.tag_shift;
 
@@ -181,19 +173,6 @@ impl Cache {
             dirty: is_write,
         };
         false
-    }
-
-    /// Dirty the most-recently-used line of `block`'s set.
-    ///
-    /// Only valid immediately after an access to `block` (the
-    /// stripped-trace replay calls it when a stripped later access was a
-    /// write: those are hits on the just-touched, MRU-resident block).
-    #[inline]
-    pub(crate) fn dirty_mru(&mut self, block: u32) {
-        let set = (block & self.set_mask) as usize;
-        let line = &mut self.lines[set * self.assoc];
-        debug_assert!(line.valid && line.tag == block >> self.tag_shift);
-        line.dirty = true;
     }
 
     /// Reset contents and counters (reuse between runs).

@@ -1,7 +1,7 @@
 //! Split instruction/data cache systems, the multi-configuration bank, and
 //! the cycle model.
 
-use crate::compress::FilterChain;
+use crate::compress;
 use crate::{Cache, CacheGeometry, CacheStats};
 use tamsim_trace::{Access, AccessKind, MarkSink, TraceLog, TraceSink};
 
@@ -206,14 +206,16 @@ impl CacheBank {
 
     /// Score every geometry against a recorded log, in parallel.
     ///
-    /// The log is first stripped once per distinct block size by a chain
-    /// of direct-mapped filters (see the `compress` module): level `S`
-    /// keeps only the references that can change an LRU cache with `S`
-    /// sets. Building the chain simulates every direct-mapped geometry of
-    /// the sweep, and each set-associative geometry then probes only the
-    /// level for its set count. The per-block-size chains and the
-    /// per-geometry scores are independent, so both fan out through
-    /// [`tamsim_trace::par_map`].
+    /// The log is stripped once per distinct block size by a chain of
+    /// direct-mapped filters (see the `compress` module): level `S` keeps
+    /// only the references that can change an LRU cache with `S` sets.
+    /// Building the chain simulates every direct-mapped geometry of the
+    /// sweep, and the pass that reads level `S` to strip the next level
+    /// also runs one LRU stack per set of `S`, which scores every
+    /// set-associative geometry with `S` sets at once. The raw-log strips
+    /// (one per block size, reading the log once for both streams) and
+    /// then the level chains (one per block size and stream) fan out
+    /// through [`tamsim_trace::par_map`].
     ///
     /// Results are in `geometries` order and bit-identical to streaming
     /// the same events through a [`CacheBank`].
@@ -221,17 +223,7 @@ impl CacheBank {
         geometries: &[CacheGeometry],
         log: &TraceLog,
     ) -> Vec<(CacheGeometry, CacheSummary)> {
-        let mut block_sizes: Vec<u32> = geometries.iter().map(|g| g.block_bytes).collect();
-        block_sizes.sort_unstable();
-        block_sizes.dedup();
-        let chains = tamsim_trace::par_map(block_sizes, |b| FilterChain::build(log, b, geometries));
-        tamsim_trace::par_map(geometries.to_vec(), |g: CacheGeometry| {
-            let chain = chains
-                .iter()
-                .find(|c| c.block_bytes() == g.block_bytes)
-                .expect("chain built for every block size in the sweep");
-            (g, chain.score(g))
-        })
+        compress::replay(geometries, log)
     }
 
     /// Score every geometry against several recorded logs — one *private*

@@ -145,3 +145,33 @@ fn stripped_write_dirties_a_reference_several_levels_back() {
     }
     assert_matches_raw(&geometries, &log);
 }
+
+#[test]
+fn each_associativity_keeps_its_own_dirty_bit() {
+    // 8-byte blocks over 4 sets: blocks 0, 4, 8, ... all map to set 0,
+    // and block `n` of that set sits at byte address `32 n`.
+    let at = |n: u32| n * 32;
+    let geometries = [2, 4, 8].map(|k| CacheGeometry::new(4 * k * 8, k, 8));
+    let mut log = TraceLog::new();
+    // 1. Write A.
+    log.access(Access::write(at(0)));
+    // 2. Two other blocks push A out of the 2-way cache, which writes it
+    //    back; the 4- and 8-way caches still hold A dirty.
+    log.access(Access::read(at(1)));
+    log.access(Access::read(at(2)));
+    // 3. The 2-way cache misses and re-allocates A clean; the 4- and
+    //    8-way caches hit A, still dirty.
+    log.access(Access::read(at(0)));
+    // 4. Eight new blocks evict A everywhere: the 4- and 8-way caches
+    //    write it back, the 2-way cache must not write it back again.
+    for n in 3..11 {
+        log.access(Access::read(at(n)));
+    }
+    let replayed = CacheBank::replay_parallel(&geometries, &log);
+    let pinned: Vec<(u64, u64)> = replayed
+        .iter()
+        .map(|(_, s)| (s.d.misses(), s.d.writebacks))
+        .collect();
+    assert_eq!(pinned, [(12, 1), (11, 1), (11, 1)]);
+    assert_matches_raw(&geometries, &log);
+}

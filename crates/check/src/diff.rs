@@ -186,14 +186,17 @@ impl Default for CheckConfig {
             check_uninit_frame_reads: true,
             // Three distinct block sizes, each stripped by its own filter
             // chain, and at 64 bytes a ladder sharing one chain: a 1-set
-            // cache, 16 to 256 sets, every associativity, and a 1-way and
-            // a 2-way geometry on the same level.
+            // cache, 16 to 256 sets, and every associativity. The 16-set
+            // level holds a 1-, 2-, 4- and 8-way geometry, so one 8-deep
+            // stack carries three dirty bits per entry.
             geometries: vec![
                 CacheGeometry::new(1 << 12, 1, 16),
                 CacheGeometry::new(1 << 14, 2, 32),
                 CacheGeometry::new(1 << 8, 4, 64),
                 CacheGeometry::new(1 << 10, 1, 64),
                 CacheGeometry::new(1 << 11, 2, 64),
+                CacheGeometry::new(1 << 12, 4, 64),
+                CacheGeometry::new(1 << 13, 8, 64),
                 CacheGeometry::new(1 << 13, 1, 64),
                 CacheGeometry::new(1 << 13, 2, 64),
                 CacheGeometry::new(1 << 16, 4, 64),

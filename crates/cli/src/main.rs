@@ -801,11 +801,22 @@ fn run_serve(args: &Args) {
     }
 }
 
-/// Benchmark the record/replay trace engine against the legacy inline
-/// path on the full 24-configuration Figure 3 sweep, check that the two
-/// produce identical figures, and leave a machine-readable summary at
-/// `DIR/perf_summary.json` so future changes have a trajectory to compare
-/// against.
+/// The host's CPU model from `/proc/cpuinfo` ("unknown" where there is
+/// none), stripped of characters a JSON string would have to escape.
+fn host_cpu() -> String {
+    fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|v| {
+                    v.trim_start_matches([' ', '\t', ':'])
+                        .replace(['"', '\\'], "")
+                })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Touch a few large, short-lived buffers before timing anything. Freeing
 /// mmap'd blocks teaches glibc to raise its dynamic mmap threshold, so the
 /// trace-log chunks allocated by the timed phases come from the main arena
@@ -837,6 +848,12 @@ fn warm_allocator() {
     std::hint::black_box(&mut arena);
 }
 
+/// Benchmark the record/replay trace engine against the legacy inline
+/// path on the full 24-configuration Figure 3 sweep, check that the two
+/// produce identical figures, and leave a machine-readable summary at
+/// `DIR/perf_summary.json` so future changes have a trajectory to compare
+/// against. The summary names the host (its cores and CPU model): every
+/// time in it depends on the host.
 fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOptions) {
     let impls = [Implementation::Md, Implementation::Am];
     let geometries = paper_sweep();
@@ -984,7 +1001,7 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOpt
          \"speedup\": {:.3},\n  \"predecode\": {},\n  \"dispatch\": {{\n    \
          \"baseline_seconds\": {:.6},\n    \"decoded_seconds\": {:.6},\n    \
          \"dispatch_speedup\": {:.3},\n    \"programs\": [\n{}\n    ]\n  }},\n  \
-         \"identical_csv\": true\n}}\n",
+         \"host_cores\": {},\n  \"host_cpu\": \"{}\",\n  \"identical_csv\": true\n}}\n",
         if small { "small" } else { "paper" },
         suite.len(),
         impls.len(),
@@ -1004,6 +1021,8 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOpt
             .map(|r| format!("    {r}"))
             .collect::<Vec<_>>()
             .join(",\n"),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_cpu(),
     );
     fs::create_dir_all(dir).expect("create results dir");
     fs::write(dir.join("perf_summary.json"), json).expect("write perf_summary.json");
@@ -1423,13 +1442,17 @@ fn main() {
         );
     }
     if cmd == "run" {
-        let path = args
-            .extra
-            .first()
-            .cloned()
-            .expect("usage: tamsim run FILE.tam");
-        let source = fs::read_to_string(&path).expect("read program file");
-        let program = tamsim_tam::parse_program(&source).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let Some(path) = args.extra.first() else {
+            eprintln!("usage: tamsim run FILE.tam");
+            std::process::exit(2);
+        };
+        let parsed = fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|source| tamsim_tam::parse_program(&source).map_err(|e| e.to_string()));
+        let program = parsed.unwrap_or_else(|e| {
+            eprintln!("error: {path}: {e}");
+            std::process::exit(2);
+        });
         println!(
             "{}: {} codeblocks, {} static ops",
             program.name,

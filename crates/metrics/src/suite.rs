@@ -123,8 +123,10 @@ impl SuiteData {
         let machine_seconds = t0.elapsed().as_secs_f64();
 
         // Phase 2: replay every recording into the full sweep. Each call
-        // already shards geometries across all cores, so runs go one at a
-        // time; their logs are dropped as soon as they are scored.
+        // already fans out through the pool (one raw-log strip per block
+        // size, then one level chain per block size and stream), so runs
+        // go one at a time; their logs are dropped as soon as they are
+        // scored.
         let t1 = Instant::now();
         let mut events = 0u64;
         let runs: Vec<ProgramRun> = recorded

@@ -36,7 +36,8 @@ use crate::program::{Codeblock, InitArray, Inlet, Program, Thread};
 /// A parse failure, with the 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line number.
+    /// 1-based line number (0 for a failure of the program as a whole,
+    /// such as validation).
     pub line: usize,
     /// Description of the problem.
     pub message: String,
@@ -44,7 +45,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        if self.line == 0 {
+            f.write_str(&self.message)
+        } else {
+            write!(f, "line {}: {}", self.line, self.message)
+        }
     }
 }
 
@@ -75,6 +80,19 @@ fn parse_int(line: usize, tok: &str) -> Result<i64, ParseError> {
         line,
         message: format!("expected integer, got `{tok}`"),
     })
+}
+
+/// The largest `array NAME empty N`: each cell takes two 4-byte heap
+/// words, and 2^20 cells already fill the machine's 8 MiB address space.
+const MAX_ARRAY_CELLS: u64 = 1 << 20;
+
+/// A count in `0..=max`, checked before it narrows, so an out-of-range
+/// value is an error that names it rather than a wrapped count.
+fn parse_count(line: usize, tok: &str, what: &str, max: u64) -> Result<u64, ParseError> {
+    match parse_int(line, tok)? {
+        n @ 0.. if n as u64 <= max => Ok(n as u64),
+        n => err(line, format!("{what} must be from 0 to {max}, got {n}")),
+    }
 }
 
 fn alu_op(tok: &str) -> Option<AluOp> {
@@ -170,6 +188,15 @@ struct CbSyms {
     inlets: HashMap<String, InletId>,
 }
 
+/// Give `name` the next id in `names`; false if it already has one.
+fn declare<T>(names: &mut HashMap<String, T>, name: &str, id: fn(u16) -> T) -> bool {
+    if names.contains_key(name) {
+        return false;
+    }
+    names.insert(name.to_string(), id(names.len() as u16));
+    true
+}
+
 #[derive(Clone, Copy, PartialEq)]
 enum BodyKind {
     Thread(ThreadId, u32, bool),
@@ -234,7 +261,8 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                             .collect::<Result<_, _>>()?,
                     },
                     "empty" => {
-                        let n = parse_int(ln, toks.get(3).copied().unwrap_or(""))?;
+                        let tok = toks.get(3).copied().unwrap_or("");
+                        let n = parse_count(ln, tok, "array length", MAX_ARRAY_CELLS)?;
                         InitArray::empty(&aname, n as usize)
                     }
                     other => return err(ln, format!("array kind `{other}`")),
@@ -252,28 +280,48 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                     return err(ln, "usage: slot NAME | slots NAME N");
                 }
                 let count = if toks[0] == "slots" {
-                    parse_int(ln, toks.get(2).copied().unwrap_or(""))? as u16
+                    let tok = toks.get(2).copied().unwrap_or("");
+                    parse_count(ln, tok, "slot count", u16::MAX.into())? as u16
                 } else {
                     1
                 };
+                let Some(n_slots) = s.n_slots.checked_add(count) else {
+                    return err(
+                        ln,
+                        format!("codeblock `{}` needs over {} slots", cb_order[c], u16::MAX),
+                    );
+                };
                 s.slots.insert(sname.to_string(), SlotId(s.n_slots));
-                s.n_slots += count;
+                s.n_slots = n_slots;
             }
-            "thread" => {
+            "thread" | "inlet" => {
+                let kind = toks[0];
                 let Some(c) = current else {
-                    return err(ln, "thread outside codeblock");
+                    return err(ln, format!("{kind} outside codeblock"));
+                };
+                let Some(&bname) = toks.get(1) else {
+                    return err(
+                        ln,
+                        match kind {
+                            "thread" => "usage: thread NAME [count N] [atomic]",
+                            _ => "usage: inlet NAME",
+                        },
+                    );
                 };
                 let s = &mut syms[c];
-                let t = ThreadId(s.threads.len() as u16);
-                s.threads.insert(toks[1].to_string(), t);
-            }
-            "inlet" => {
-                let Some(c) = current else {
-                    return err(ln, "inlet outside codeblock");
+                let fresh = match kind {
+                    "thread" => declare(&mut s.threads, bname, ThreadId),
+                    _ => declare(&mut s.inlets, bname, InletId),
                 };
-                let s = &mut syms[c];
-                let i = InletId(s.inlets.len() as u16);
-                s.inlets.insert(toks[1].to_string(), i);
+                if !fresh {
+                    return err(
+                        ln,
+                        format!(
+                            "{kind} `{bname}` declared twice in codeblock `{}`",
+                            cb_order[c]
+                        ),
+                    );
+                }
             }
             _ => {}
         }
@@ -330,7 +378,10 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             "array" | "slot" | "slots" => {}
             "thread" => {
                 flush(&mut codeblocks, current, &mut body, &mut ops);
-                let c = current.unwrap();
+                // `main` closes the last codeblock.
+                let Some(c) = current else {
+                    return err(ln, "thread outside codeblock");
+                };
                 let t = syms[c].threads[toks[1]];
                 let mut count = 1u32;
                 let mut atomic = false;
@@ -338,7 +389,8 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                 while k < toks.len() {
                     match toks[k] {
                         "count" => {
-                            count = parse_int(ln, toks.get(k + 1).copied().unwrap_or(""))? as u32;
+                            let tok = toks.get(k + 1).copied().unwrap_or("");
+                            count = parse_count(ln, tok, "entry count", u32::MAX.into())? as u32;
                             k += 2;
                         }
                         "atomic" => {
@@ -352,7 +404,9 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             }
             "inlet" => {
                 flush(&mut codeblocks, current, &mut body, &mut ops);
-                let c = current.unwrap();
+                let Some(c) = current else {
+                    return err(ln, "inlet outside codeblock");
+                };
                 body = Some(BodyKind::Inlet(syms[c].inlets[toks[1]]));
             }
             "main" => {
@@ -548,7 +602,7 @@ fn parse_op(
             need(3)?;
             TOp::LdMsg {
                 d: reg(1)?,
-                idx: parse_int(ln, toks[2])? as u8,
+                idx: parse_count(ln, toks[2], "message index", u8::MAX.into())? as u8,
             }
         }
         "fork" => {
@@ -615,7 +669,7 @@ fn parse_op(
             // index only when numeric, else this codeblock's names can't
             // apply — require a numeric inlet index for cross-codeblock
             // sends.
-            let inlet_idx = parse_int(ln, toks[3])? as u16;
+            let inlet_idx = parse_count(ln, toks[3], "inlet index", u16::MAX.into())? as u16;
             let vals = toks[4..]
                 .iter()
                 .map(|t| parse_reg(ln, t))
@@ -927,6 +981,110 @@ main main 0
 ";
         let e = parse_program(src).unwrap_err();
         assert!(e.message.contains("validation"), "{e}");
+    }
+
+    /// `DOUBLE` with `line` inserted before its line `at` (1-based), and
+    /// the error parsing it gives.
+    fn error_with(at: usize, line: &str) -> ParseError {
+        let mut lines: Vec<&str> = DOUBLE.lines().collect();
+        lines.insert(at - 1, line);
+        parse_program(&lines.join("\n")).expect_err(line)
+    }
+
+    #[test]
+    fn bare_thread_and_inlet_headers_are_usage_errors() {
+        // Line 1 is the comment; 2 `program`, 3 `codeblock main`.
+        let e = error_with(4, "  thread");
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("usage: thread NAME"), "{e}");
+        let e = error_with(4, "  inlet");
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("usage: inlet NAME"), "{e}");
+    }
+
+    #[test]
+    fn names_declared_twice_in_a_codeblock_are_rejected() {
+        let e = error_with(13, "  thread go");
+        assert_eq!(e.line, 13);
+        assert_eq!(e.message, "thread `go` declared twice in codeblock `main`");
+        let e = error_with(13, "  inlet arg");
+        assert_eq!(e.line, 13);
+        assert_eq!(e.message, "inlet `arg` declared twice in codeblock `main`");
+        // The same names in two codeblocks are different names.
+        let body: String = DOUBLE
+            .lines()
+            .skip(3)
+            .take(9)
+            .map(|l| l.to_owned() + "\n")
+            .collect();
+        let two = DOUBLE.replace(
+            "main main 21",
+            &format!("codeblock other\n{body}main main 21"),
+        );
+        assert_eq!(parse_program(&two).unwrap().codeblocks.len(), 2);
+    }
+
+    #[test]
+    fn headers_after_main_are_rejected() {
+        let src = format!("{DOUBLE}  thread late\n");
+        let e = parse_program(&src).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (14, "thread outside codeblock")
+        );
+        let src = format!("{DOUBLE}  inlet late\n");
+        let e = parse_program(&src).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (14, "inlet outside codeblock")
+        );
+    }
+
+    #[test]
+    fn array_lengths_must_fit_memory() {
+        let e = error_with(3, "array xs empty -1");
+        assert_eq!(e.line, 3);
+        assert_eq!(e.message, "array length must be from 0 to 1048576, got -1");
+        let e = error_with(3, "array xs empty 1048577");
+        assert!(e.message.ends_with("got 1048577"), "{e}");
+        let src = DOUBLE.replace("program double", "program double\narray xs empty 0");
+        assert_eq!(parse_program(&src).unwrap().arrays[0].len(), 0);
+    }
+
+    #[test]
+    fn slot_counts_are_checked_before_they_narrow() {
+        for (count, shown) in [("70000", "70000"), ("-1", "-1")] {
+            let e = error_with(5, &format!("  slots xs {count}"));
+            assert_eq!(e.line, 5);
+            assert_eq!(
+                e.message,
+                format!("slot count must be from 0 to 65535, got {shown}")
+            );
+        }
+        // `x` already holds slot 0, so 65535 more overflow the frame.
+        let e = error_with(5, "  slots xs 65535");
+        assert_eq!(e.message, "codeblock `main` needs over 65535 slots");
+        let ok = DOUBLE.replace("  slot x", "  slots x 65535");
+        assert_eq!(parse_program(&ok).unwrap().codeblocks[0].n_slots, 65535);
+    }
+
+    #[test]
+    fn entry_counts_and_indices_are_checked_before_they_narrow() {
+        let src = DOUBLE.replace("thread go", "thread go count 4294967297");
+        let e = parse_program(&src).unwrap_err();
+        assert_eq!(e.line, 9);
+        assert_eq!(
+            e.message,
+            "entry count must be from 0 to 4294967295, got 4294967297"
+        );
+        let src = DOUBLE.replace("thread go", "thread go count -2");
+        assert!(parse_program(&src).unwrap_err().message.ends_with("got -2"));
+        let src = DOUBLE.replace("ldmsg r0 0", "ldmsg r0 256");
+        let e = parse_program(&src).unwrap_err();
+        assert_eq!(e.line, 6);
+        assert_eq!(e.message, "message index must be from 0 to 255, got 256");
+        let e = error_with(11, "    sendto r0 main 65536 r1");
+        assert_eq!(e.message, "inlet index must be from 0 to 65535, got 65536");
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! configurations share nothing). Events are packed into one 32-bit word
 //! each: the machine model only issues word-aligned accesses, so the low
 //! two address bits are free to carry the [`AccessKind`].
+//!
+//! The packed word is `addr | kind`, where `kind` is
+//! [`AccessKind::index`]: 0 for a fetch, 1 for a read, 2 for a write.
+//! [`TraceLog::packed_chunks`] exposes the words in that form, for
+//! consumers that decode only what they need.
 
 use crate::{Access, AccessKind, Mark, MarkLog, MarkRecord, MarkSink, Priority, TraceSink};
 
@@ -138,6 +143,15 @@ impl TraceLog {
     /// Instructions recorded per priority (the run's cycle counters).
     pub fn cycles(&self) -> [u64; 2] {
         self.marks.cycles
+    }
+
+    /// The packed events, in recorded order, as the chunks that hold them.
+    ///
+    /// Each word is `addr | kind`: the word-aligned address with
+    /// [`AccessKind::index`] in its low two bits (0 fetch, 1 read,
+    /// 2 write). Code 3 never occurs.
+    pub fn packed_chunks(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.chunks.iter().map(Vec::as_slice)
     }
 
     /// Iterate the recorded events in order.
@@ -291,6 +305,24 @@ mod tests {
         log.clear();
         assert!(log.marks().is_empty());
         assert_eq!(log.cycles(), [0, 0]);
+    }
+
+    #[test]
+    fn packed_chunks_hold_addr_or_kind_in_order() {
+        let mut log = TraceLog::new();
+        let n = CHUNK_EVENTS + 5;
+        for i in 0..n as u32 {
+            log.push(Access {
+                kind: AccessKind::ALL[i as usize % 3],
+                addr: i * 4,
+            });
+        }
+        let words: Vec<u32> = log.packed_chunks().flatten().copied().collect();
+        assert_eq!(log.packed_chunks().count(), 2);
+        assert_eq!(words.len(), n);
+        for (i, w) in words.iter().enumerate() {
+            assert_eq!(*w, (i as u32 * 4) | (i % 3) as u32);
+        }
     }
 
     #[test]

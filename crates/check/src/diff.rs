@@ -28,6 +28,10 @@
 //!   [`CacheBank::replay_parallel`] is bit-identical to streaming the same
 //!   trace through an inline [`CacheBank`] (the record/replay engine that
 //!   produces every figure cross-checked on a trace nobody hand-picked);
+//! * every back-end re-runs under the executor and the
+//!   [`crate::RefMachine`] oracle with full-stream recording, and the two
+//!   must agree on results, counters, every access event in order, every
+//!   mark and the cycle counters;
 //! * with [`CheckConfig::mesh`] set, every back-end additionally runs on a
 //!   1×1 [`tamsim_net::MeshExperiment`] and must match the single-node run
 //!   bit-for-bit — result words, final arrays, instruction count, machine
@@ -46,9 +50,10 @@
 //! caught (and shrinkable; see [`crate::shrink`]).
 
 use crate::invariant::InvariantChecker;
+use crate::reference::RefMachine;
 use tamsim_cache::{CacheBank, CacheGeometry};
 use tamsim_core::{link, FrameLayout, GlobalsMap, Implementation, LoweringOptions};
-use tamsim_mdp::{HaltReason, Machine, MachineConfig, RunError, RunStats, SinkHooks};
+use tamsim_mdp::{HaltReason, Machine, MachineConfig, Memory, RunError, RunStats, SinkHooks};
 use tamsim_net::{MeshExperiment, MeshRunResult, NetTraceMode, PlacementPolicy};
 use tamsim_tam::{AluOp, Program, TOp};
 use tamsim_trace::{
@@ -166,13 +171,6 @@ pub struct CheckConfig {
     /// Also run every back-end on a 1×1 mesh and require bit-identity
     /// with the single-node run (`tamsim fuzz --mesh`; see module docs).
     pub mesh: bool,
-    /// Cross-check the two interpreter dispatch paths: re-run every
-    /// back-end under baseline and pre-decoded dispatch with full-stream
-    /// recording and require bit-identical results, counters, access
-    /// events, and marks (`--no-predecode` disables the decoded path
-    /// everywhere instead). On by default — this is the fuzzing wall the
-    /// decoded interpreter's event-batching invariant leans on.
-    pub dispatch: bool,
 }
 
 impl Default for CheckConfig {
@@ -202,7 +200,6 @@ impl Default for CheckConfig {
                 CacheGeometry::new(1 << 16, 4, 64),
             ],
             mesh: false,
-            dispatch: true,
         }
     }
 }
@@ -231,8 +228,8 @@ pub enum FailureKind {
     CacheMismatch,
     /// A 1×1 mesh run is not bit-identical to the single-node run.
     MeshDivergence,
-    /// The pre-decoded dispatch path is not bit-identical to the baseline
-    /// interpreter (results, counters, access events, or marks).
+    /// The executor is not bit-identical to the [`crate::RefMachine`]
+    /// oracle (results, counters, access events, or marks).
     DispatchDivergence,
     /// The machine model panicked (wild address, malformed message) —
     /// reachable only through shrink candidates that feed garbage
@@ -472,12 +469,12 @@ fn run_one(
                 let report = ImplReport {
                     label,
                     result_bits: linked
-                        .read_result(&machine)
+                        .read_result(&machine.mem)
                         .iter()
                         .map(|w| w.bits())
                         .collect(),
                     arrays: linked
-                        .read_arrays(&machine)
+                        .read_arrays(&machine.mem)
                         .iter()
                         .map(|a| a.iter().map(|c| c.map(|w| w.bits())).collect())
                         .collect(),
@@ -496,22 +493,20 @@ fn run_one(
                         &counts,
                     )?;
                 }
-                if cfg.dispatch {
-                    dispatch_cross_check(program, impl_, label, queue_words, cfg.fuel)?;
-                }
+                dispatch_cross_check(program, impl_, label, queue_words, cfg.fuel)?;
                 return Ok((report, hooks.0.b.log.take()));
             }
         }
     }
 }
 
-/// Re-run `program` under both interpreter dispatch paths — the baseline
-/// enum-walking `step` loop and the pre-decoded batched loop — with
-/// full-stream recording ([`TraceLog`] retains accesses, marks, and cycle
-/// counters), and require bit-identity in every observable: result words,
-/// final arrays, machine counters, every access event in recorded order,
-/// every mark record, and the per-priority cycle counters. Any gap means
-/// the decoded interpreter's batching broke the event-stream contract.
+/// Re-run `program` under the executor and the [`RefMachine`] oracle,
+/// both from one link and with full-stream recording ([`TraceLog`]
+/// retains accesses, marks, and cycle counters), and require bit-identity
+/// in every observable: result words, final arrays, machine counters,
+/// every access event in recorded order, every mark record, and the
+/// per-priority cycle counters. Any gap means the executor's dispatch or
+/// event batching broke the event-stream contract.
 fn dispatch_cross_check(
     program: &Program,
     impl_: Implementation,
@@ -521,76 +516,73 @@ fn dispatch_cross_check(
 ) -> Result<(), CheckFailure> {
     let fail = |what: String| CheckFailure {
         kind: FailureKind::DispatchDivergence,
-        detail: format!("{label}: {what} (baseline vs pre-decoded dispatch)"),
+        detail: format!("{label}: {what} (executor vs reference)"),
     };
     let mcfg = MachineConfig {
         queue_words: [queue_words, queue_words],
         fuel,
         ..MachineConfig::default()
     };
-    let mut runs = Vec::with_capacity(2);
-    for predecode in [false, true] {
-        let name = if predecode { "decoded" } else { "baseline" };
-        let opts = LoweringOptions {
-            predecode,
-            ..LoweringOptions::default()
-        };
-        let linked = link(program, impl_, opts, mcfg);
-        let mut hooks = SinkHooks(TraceLog::new());
-        let run = catch_trap(|| linked.run(&mut hooks))
-            .map_err(|trap| fail(format!("{name} run trapped: {trap}")))?;
-        let (stats, machine) = run.map_err(|e| fail(format!("{name} run failed: {e}")))?;
-        let result: Vec<u64> = linked
-            .read_result(&machine)
-            .iter()
-            .map(|w| w.bits())
-            .collect();
+    let linked = link(program, impl_, LoweringOptions::default(), mcfg);
+    let observe = |stats: RunStats, mem: &Memory, log: TraceLog| {
+        let result: Vec<u64> = linked.read_result(mem).iter().map(|w| w.bits()).collect();
         let arrays: Vec<Vec<Option<u64>>> = linked
-            .read_arrays(&machine)
+            .read_arrays(mem)
             .iter()
             .map(|a| a.iter().map(|c| c.map(|w| w.bits())).collect())
             .collect();
-        runs.push((stats, result, arrays, hooks.0));
-    }
-    let (base_stats, base_result, base_arrays, base_log) = &runs[0];
-    let (dec_stats, dec_result, dec_arrays, dec_log) = &runs[1];
-    if dec_result != base_result {
+        (stats, result, arrays, log)
+    };
+    let mut hooks = SinkHooks(TraceLog::new());
+    let run = catch_trap(|| linked.run(&mut hooks))
+        .map_err(|trap| fail(format!("executor run trapped: {trap}")))?;
+    let (stats, machine) = run.map_err(|e| fail(format!("executor run failed: {e}")))?;
+    let (dec_stats, dec_result, dec_arrays, dec_log) = observe(stats, &machine.mem, hooks.0);
+
+    let mut hooks = SinkHooks(TraceLog::new());
+    let mut oracle = RefMachine::boot(&linked);
+    let run = catch_trap(|| oracle.run(&mut hooks))
+        .map_err(|trap| fail(format!("reference run trapped: {trap}")))?;
+    let stats = run.map_err(|e| fail(format!("reference run failed: {e}")))?;
+    let (ref_stats, ref_result, ref_arrays, ref_log) = observe(stats, &oracle.mem, hooks.0);
+
+    if dec_result != ref_result {
         return Err(fail(format!(
-            "result mismatch: baseline {base_result:?}, decoded {dec_result:?}"
+            "result mismatch: reference {ref_result:?}, executor {dec_result:?}"
         )));
     }
-    if dec_arrays != base_arrays {
+    if dec_arrays != ref_arrays {
         return Err(fail("final array state diverges".into()));
     }
-    if dec_stats != base_stats {
+    if dec_stats != ref_stats {
         return Err(fail(format!(
-            "machine counters diverge: baseline {base_stats:?}, decoded {dec_stats:?}"
+            "machine counters diverge: reference {ref_stats:?}, executor {dec_stats:?}"
         )));
     }
-    if dec_log.len() != base_log.len() {
+    if dec_log.len() != ref_log.len() {
         return Err(fail(format!(
-            "access stream length diverges: baseline {} events, decoded {}",
-            base_log.len(),
+            "access stream length diverges: reference {} events, executor {}",
+            ref_log.len(),
             dec_log.len()
         )));
     }
-    if let Some((i, (b, d))) = base_log
+    if let Some((i, (r, d))) = ref_log
         .iter()
         .zip(dec_log.iter())
         .enumerate()
-        .find(|(_, (b, d))| b != d)
+        .find(|(_, (r, d))| r != d)
     {
         return Err(fail(format!(
-            "access stream diverges at event {i}: baseline {b:?}, decoded {d:?}"
+            "access stream diverges at event {i}: reference {r:?}, executor {d:?}"
         )));
     }
-    if dec_log.marks() != base_log.marks() {
+    if dec_log.marks() != ref_log.marks() {
         return Err(fail("mark records diverge".into()));
     }
-    if dec_log.cycles() != base_log.cycles() {
+    if dec_log.cycles() != ref_log.cycles() {
         return Err(fail(format!(
-            "cycle counters diverge: baseline {:?}, decoded {:?}",
-            base_log.cycles(),
+            "cycle counters diverge: reference {:?}, executor {:?}",
+            ref_log.cycles(),
             dec_log.cycles()
         )));
     }
@@ -1001,11 +993,10 @@ mod tests {
 
     #[test]
     fn dispatch_cross_check_passes_on_all_backends() {
-        // `dispatch` defaults on, so this exercises the baseline-vs-decoded
-        // stream comparison for AM, AM-en, and MD in one pass.
+        // `check_program` always runs the executor-vs-reference stream
+        // comparison, for AM, AM-en, and MD in one pass.
         let cfg = CheckConfig::default();
-        assert!(cfg.dispatch);
-        check_program(&tiny_program(), &cfg).expect("dispatch paths must be bit-identical");
+        check_program(&tiny_program(), &cfg).expect("executor must match the reference");
         // And directly, for each back-end.
         for (impl_, label) in IMPLS {
             dispatch_cross_check(&tiny_program(), impl_, label, cfg.queue_words, cfg.fuel)

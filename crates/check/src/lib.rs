@@ -12,7 +12,10 @@
 //!   access and queue sample of a run against the region model;
 //! * [`diff`] — the differential runner executing one program under all
 //!   three back-ends and cross-checking results, message conservation,
-//!   termination residue, and the record/replay cache engine;
+//!   termination residue, the executor against [`reference`], and the
+//!   record/replay cache engine;
+//! * [`reference`] — an independent enum-walking interpreter, the oracle
+//!   the executor in `tamsim-mdp` is held to;
 //! * [`shrink`] — greedy minimization of failing programs to reproducers
 //!   small enough to read.
 //!
@@ -23,6 +26,7 @@
 pub mod diff;
 pub mod gen;
 pub mod invariant;
+pub mod reference;
 pub mod rng;
 pub mod shrink;
 
@@ -32,6 +36,7 @@ pub use diff::{
 };
 pub use gen::{generate, GenConfig};
 pub use invariant::InvariantChecker;
+pub use reference::RefMachine;
 pub use rng::SplitMix64;
 pub use shrink::{failure_signature, shrink, ShrinkReport};
 

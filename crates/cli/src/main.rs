@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use tamsim_cache::{paper_sweep, CacheGeometry, PAPER_BLOCK_SWEEP};
-use tamsim_core::{Experiment, Implementation, LoweringOptions};
+use tamsim_core::{Experiment, Implementation};
 use tamsim_metrics as metrics;
 use tamsim_metrics::{SuiteData, Table};
 use tamsim_obs::Manifest;
@@ -46,7 +46,7 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         "perf",
-        "time the Figure 3 sweep (record/replay vs inline) or, with --mesh, the mesh \
+        "time the Figure 3 sweep's record and replay phases or, with --mesh, the mesh \
          drivers (fast-forward vs lockstep); write results/*perf_summary.json",
     ),
     (
@@ -99,9 +99,6 @@ fn help_text() -> String {
          (TAMSIM_JOBS is honoured when the flag is absent); results are bit-identical \
          at every thread count, but message tracing is off, so the latency histograms \
          are skipped; incompatible with --trace-net\n  \
-         --no-predecode run/profile/mesh/perf: interpret with the baseline enum-walking \
-         dispatch instead of the pre-decoded path (escape hatch; results are \
-         bit-identical); fuzz: skip the dispatch cross-check\n  \
          -h, --help     show this help\n",
     );
     out
@@ -122,7 +119,6 @@ struct Args {
     shrink: bool,
     mutate: bool,
     mesh: bool,
-    no_predecode: bool,
     trace_net: bool,
     threads: Option<u32>,
     command: Option<String>,
@@ -130,14 +126,6 @@ struct Args {
 }
 
 impl Args {
-    /// Lowering/simulator options honouring `--no-predecode`.
-    fn opts(&self) -> LoweringOptions {
-        LoweringOptions {
-            predecode: !self.no_predecode,
-            ..LoweringOptions::default()
-        }
-    }
-
     /// Worker-thread request for mesh runs: explicit `--threads` wins,
     /// else the `TAMSIM_JOBS` environment override, else `None` (serial,
     /// with the default ring-traced latency histograms).
@@ -194,7 +182,6 @@ fn parse_args() -> Args {
     let mut shrink = false;
     let mut mutate = false;
     let mut mesh = false;
-    let mut no_predecode = false;
     let mut trace_net = false;
     let mut threads = None::<u32>;
     let mut command = None::<String>;
@@ -229,7 +216,6 @@ fn parse_args() -> Args {
             "--shrink" => shrink = true,
             "--mutate" => mutate = true,
             "--mesh" => mesh = true,
-            "--no-predecode" => no_predecode = true,
             "--trace-net" => trace_net = true,
             "--threads" => {
                 let v = need(&mut it, "--threads", "a thread count");
@@ -267,7 +253,6 @@ fn parse_args() -> Args {
         shrink,
         mutate,
         mesh,
-        no_predecode,
         trace_net,
         threads,
         command,
@@ -330,7 +315,6 @@ fn lowering_pairs(exp: &Experiment) -> Vec<(String, bool)> {
             "md_stop_to_suspend".to_string(),
             exp.opts.md_stop_to_suspend,
         ),
-        ("predecode".to_string(), exp.opts.predecode),
     ]
 }
 
@@ -399,7 +383,7 @@ fn run_profile(args: &Args) {
 
     let mut profiles = Vec::new();
     for &impl_ in &impls {
-        let exp = Experiment::new(impl_).with_opts(args.opts());
+        let exp = Experiment::new(impl_);
         let profiled = exp.run_profiled(&program);
         let profile = profiled
             .profile()
@@ -520,11 +504,10 @@ fn run_mesh(args: &Args) {
         NetTraceMode::Ring(2048)
     };
     for &impl_ in &impls {
-        let mut exp = MeshExperiment::new(impl_, args.nodes)
+        let exp = MeshExperiment::new(impl_, args.nodes)
             .with_placement(policy)
             .with_threads(threads.unwrap_or(1))
             .traced(mode);
-        exp.opts = args.opts();
         let r = exp.run(&program);
         println!(
             "## mesh: {} ({}) on {} node(s) [{}x{}], policy {}{}\n",
@@ -709,10 +692,9 @@ fn run_serve(args: &Args) {
     let threads = args.mesh_threads();
     let single = impls.len() == 1;
     for &impl_ in &impls {
-        let mut exp = MeshExperiment::new(impl_, args.nodes)
+        let exp = MeshExperiment::new(impl_, args.nodes)
             .with_placement(policy)
             .with_threads(threads.unwrap_or(1));
-        exp.opts = args.opts();
         let r = exp.serve(&program, &cfg);
         println!(
             "## serve: {} ({}) on {} node(s) [{}x{}], policy {}, {} {} arrival(s) at {}/Mcycle\n",
@@ -848,13 +830,12 @@ fn warm_allocator() {
     std::hint::black_box(&mut arena);
 }
 
-/// Benchmark the record/replay trace engine against the legacy inline
-/// path on the full 24-configuration Figure 3 sweep, check that the two
-/// produce identical figures, and leave a machine-readable summary at
-/// `DIR/perf_summary.json` so future changes have a trajectory to compare
-/// against. The summary names the host (its cores and CPU model): every
-/// time in it depends on the host.
-fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOptions) {
+/// Time the full 24-configuration Figure 3 sweep — the machine (record)
+/// phase and the cache (replay) phase — write its figures, and leave a
+/// machine-readable summary at `DIR/perf_summary.json` so future changes
+/// have a trajectory to compare against. The summary names the host (its
+/// cores and CPU model): every time in it depends on the host.
+fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path) {
     let impls = [Implementation::Md, Implementation::Am];
     let geometries = paper_sweep();
     let n_configs = geometries.len();
@@ -866,111 +847,9 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOpt
     );
     warm_allocator();
 
-    // Baseline: the legacy streaming path (untraced probe run, then a
-    // traced re-run fanning every access to all configs serially).
     let t0 = Instant::now();
-    let inline =
-        SuiteData::collect_inline_with_opts(suite.to_vec(), &impls, geometries.clone(), opts);
-    let inline_seconds = t0.elapsed().as_secs_f64();
-    eprintln!("  inline path        : {inline_seconds:.3} s");
-
-    // Record once / replay in parallel.
-    let t1 = Instant::now();
-    let (recorded, phases) =
-        SuiteData::collect_timed_with_opts(suite.to_vec(), &impls, geometries, opts);
-    let recorded_seconds = t1.elapsed().as_secs_f64();
-    eprintln!(
-        "  record/replay path : {recorded_seconds:.3} s \
-         (machine {:.3} s + replay {:.3} s, {} events)",
-        phases.machine_seconds, phases.replay_seconds, phases.events
-    );
-
-    // Dispatch micro-benchmark: plain unrecorded, hook-free runs of each
-    // program (MD + AM summed), baseline enum-walking interpreter vs the
-    // pre-decoded path. Hook-free runs isolate pure dispatch speed: event
-    // emission monomorphizes away under `NoHooks`. Runs after the sweep
-    // timings so its allocations can't perturb them.
-    let time_dispatch = |predecode: bool| -> Vec<(f64, u64)> {
-        suite
-            .iter()
-            .map(|b| {
-                let o = LoweringOptions {
-                    predecode,
-                    ..LoweringOptions::default()
-                };
-                let t = Instant::now();
-                let mut instructions = 0u64;
-                for impl_ in impls {
-                    instructions += Experiment::new(impl_)
-                        .with_opts(o)
-                        .run(&b.program)
-                        .instructions;
-                }
-                (t.elapsed().as_secs_f64(), instructions)
-            })
-            .collect()
-    };
-    let dispatch_base = time_dispatch(false);
-    let dispatch_dec = time_dispatch(true);
-    let base_total: f64 = dispatch_base.iter().map(|(s, _)| s).sum();
-    let dec_total: f64 = dispatch_dec.iter().map(|(s, _)| s).sum();
-    let dispatch_speedup = base_total / dec_total;
-
-    println!("## perf: interpreter dispatch, baseline vs pre-decoded\n");
-    println!(
-        "{:<10} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "program", "base_s", "dec_s", "base_mips", "dec_mips", "speedup"
-    );
-    let mut dispatch_rows = Vec::new();
-    for (b, ((bs, bi), (ds, di))) in suite
-        .iter()
-        .zip(dispatch_base.iter().zip(dispatch_dec.iter()))
-    {
-        assert_eq!(
-            bi, di,
-            "{}: dispatch paths retired different instruction counts",
-            b.name
-        );
-        let base_mips = *bi as f64 / bs / 1e6;
-        let dec_mips = *di as f64 / ds / 1e6;
-        println!(
-            "{:<10} {:>10.3} {:>10.3} {:>10.1} {:>10.1} {:>7.2}x",
-            b.name,
-            bs,
-            ds,
-            base_mips,
-            dec_mips,
-            bs / ds
-        );
-        dispatch_rows.push(format!(
-            "    {{\"name\": \"{}\", \"baseline_seconds\": {:.6}, \"decoded_seconds\": {:.6}, \
-             \"baseline_mips\": {:.1}, \"decoded_mips\": {:.1}, \"speedup\": {:.3}}}",
-            b.name,
-            bs,
-            ds,
-            base_mips,
-            dec_mips,
-            bs / ds
-        ));
-    }
-    println!(
-        "{:<10} {:>10.3} {:>10.3} {:>10} {:>10} {:>7.2}x\n",
-        "total", base_total, dec_total, "", "", dispatch_speedup
-    );
-
-    // The optimisation must be invisible in the results: identical CSVs.
-    let csv_of = |data: &SuiteData| -> Vec<(u64, String)> {
-        metrics::figure3(data)
-            .into_iter()
-            .map(|(cost, t)| (cost, t.to_csv()))
-            .collect()
-    };
-    let inline_csv = csv_of(&inline);
-    let recorded_csv = csv_of(&recorded);
-    assert_eq!(
-        inline_csv, recorded_csv,
-        "record/replay figures diverged from the inline path"
-    );
+    let (recorded, phases) = SuiteData::collect_timed(suite.to_vec(), &impls, geometries);
+    let recorded_seconds = t0.elapsed().as_secs_f64();
     emit_series(
         dir,
         "figure3",
@@ -978,9 +857,7 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOpt
         metrics::figure3(&recorded),
     );
 
-    let speedup = inline_seconds / recorded_seconds;
-    println!("## perf: Figure 3 sweep, inline vs record/replay\n");
-    println!("inline (probe + traced fan-out) : {inline_seconds:>8.3} s");
+    println!("## perf: Figure 3 sweep, record/replay\n");
     println!("record/replay                   : {recorded_seconds:>8.3} s");
     println!(
         "  machine (record) phase        : {:>8.3} s",
@@ -991,36 +868,21 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOpt
         phases.replay_seconds
     );
     println!("events recorded                 : {:>8}", phases.events);
-    println!("speedup                         : {speedup:>8.2}x");
 
     let json = format!(
         "{{\n  \"suite\": \"{}\",\n  \"programs\": {},\n  \"implementations\": {},\n  \
          \"cache_configs\": {},\n  \"events_recorded\": {},\n  \
-         \"inline_seconds\": {:.6},\n  \"recorded_seconds\": {:.6},\n  \
+         \"recorded_seconds\": {:.6},\n  \
          \"machine_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
-         \"speedup\": {:.3},\n  \"predecode\": {},\n  \"dispatch\": {{\n    \
-         \"baseline_seconds\": {:.6},\n    \"decoded_seconds\": {:.6},\n    \
-         \"dispatch_speedup\": {:.3},\n    \"programs\": [\n{}\n    ]\n  }},\n  \
-         \"host_cores\": {},\n  \"host_cpu\": \"{}\",\n  \"identical_csv\": true\n}}\n",
+         \"host_cores\": {},\n  \"host_cpu\": \"{}\"\n}}\n",
         if small { "small" } else { "paper" },
         suite.len(),
         impls.len(),
         n_configs,
         phases.events,
-        inline_seconds,
         recorded_seconds,
         phases.machine_seconds,
         phases.replay_seconds,
-        speedup,
-        opts.predecode,
-        base_total,
-        dec_total,
-        dispatch_speedup,
-        dispatch_rows
-            .iter()
-            .map(|r| format!("    {r}"))
-            .collect::<Vec<_>>()
-            .join(",\n"),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         host_cpu(),
     );
@@ -1034,14 +896,7 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOpt
 /// recorded mesh cache sweep, check the two drivers render byte-identical
 /// mesh-cache CSVs, and leave `DIR/mesh_perf_summary.json` beside
 /// `perf_summary.json`.
-fn run_mesh_perf(
-    suite: &[PaperBenchmark],
-    small: bool,
-    nodes: u32,
-    threads: u32,
-    dir: &Path,
-    opts: LoweringOptions,
-) {
+fn run_mesh_perf(suite: &[PaperBenchmark], small: bool, nodes: u32, threads: u32, dir: &Path) {
     let progs: Vec<(&str, &Program)> = suite.iter().map(|b| (b.name, &b.program)).collect();
     let node_counts = [nodes];
     eprintln!(
@@ -1053,11 +908,9 @@ fn run_mesh_perf(
     // Driver timings on plain (unrecorded) runs: the lockstep baseline —
     // PR 4's loop, every cycle simulated — against the event-horizon
     // fast-forward, which jumps pure-wait stretches in one step.
-    let lockstep_seconds =
-        metrics::mesh_machine_seconds_with_opts(&progs, &node_counts, false, opts);
+    let lockstep_seconds = metrics::mesh_machine_seconds(&progs, &node_counts, false);
     eprintln!("  lockstep driver     : {lockstep_seconds:.3} s");
-    let fastforward_seconds =
-        metrics::mesh_machine_seconds_with_opts(&progs, &node_counts, true, opts);
+    let fastforward_seconds = metrics::mesh_machine_seconds(&progs, &node_counts, true);
     eprintln!("  fast-forward driver : {fastforward_seconds:.3} s");
 
     // The parallel driver against its own one-thread baseline, both runs
@@ -1074,10 +927,8 @@ fn run_mesh_perf(
         .map(|n| n.get())
         .unwrap_or(1);
     let parallel = if host_cores > 1 {
-        let serial_onethread_seconds =
-            metrics::mesh_parallel_seconds_with_opts(&progs, &[par_nodes], 1, opts);
-        let parallel_seconds =
-            metrics::mesh_parallel_seconds_with_opts(&progs, &[par_nodes], threads, opts);
+        let serial_onethread_seconds = metrics::mesh_parallel_seconds(&progs, &[par_nodes], 1);
+        let parallel_seconds = metrics::mesh_parallel_seconds(&progs, &[par_nodes], threads);
         let parallel_speedup = serial_onethread_seconds / parallel_seconds;
         eprintln!(
             "  parallel driver     : {parallel_seconds:.3} s ({threads} threads, {par_nodes} \
@@ -1091,10 +942,8 @@ fn run_mesh_perf(
 
     // Recorded-replay: the mesh cache sweep's production path — record
     // per-node traces under each driver, replay into all 24 geometries.
-    let (lock_runs, lock_perf) =
-        metrics::mesh_cache_collect_with_opts(&progs, &node_counts, false, opts);
-    let (fast_runs, fast_perf) =
-        metrics::mesh_cache_collect_with_opts(&progs, &node_counts, true, opts);
+    let (lock_runs, lock_perf) = metrics::mesh_cache_collect(&progs, &node_counts, false);
+    let (fast_runs, fast_perf) = metrics::mesh_cache_collect(&progs, &node_counts, true);
     eprintln!(
         "  recorded-replay     : {:.3} s machine + {:.3} s replay ({} events)",
         fast_perf.machine_seconds, fast_perf.replay_seconds, fast_perf.events
@@ -1160,7 +1009,7 @@ fn run_mesh_perf(
          \"recorded_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
          \"speedup\": {:.3},\n  \
          {},\n  \"host_cores\": {},\n  \
-         \"predecode\": {},\n  \"identical_csv\": true\n}}\n",
+         \"identical_csv\": true\n}}\n",
         if small { "small" } else { "paper" },
         progs.len(),
         nodes,
@@ -1172,7 +1021,6 @@ fn run_mesh_perf(
         speedup,
         parallel_json,
         host_cores,
-        opts.predecode,
     );
     fs::create_dir_all(dir).expect("create results dir");
     fs::write(dir.join("mesh_perf_summary.json"), json).expect("write mesh_perf_summary.json");
@@ -1193,7 +1041,6 @@ fn run_fuzz(args: &Args) {
     let cfg = CheckConfig {
         mutation: args.mutate.then_some(Mutation::FlipFirstAddToSub),
         mesh: args.mesh,
-        dispatch: !args.no_predecode,
         ..CheckConfig::default()
     };
     eprintln!(
@@ -1212,9 +1059,6 @@ fn run_fuzz(args: &Args) {
             ""
         }
     );
-    if args.no_predecode {
-        eprintln!("fuzz: dispatch cross-check disabled (--no-predecode)");
-    }
     let report = fuzz_many(args.seed, args.iters, &cfg);
     println!(
         "fuzz: {}/{} passed, {} failure(s), {} trace events cross-checked ({:.1?})",
@@ -1324,9 +1168,9 @@ fn main() {
             // Two worker threads by default: the smallest parallel
             // configuration, meaningful even on modest CI hosts.
             let threads = args.mesh_threads().unwrap_or(2).max(2);
-            run_mesh_perf(&suite, args.small, args.nodes, threads, &dir, args.opts());
+            run_mesh_perf(&suite, args.small, args.nodes, threads, &dir);
         } else {
-            run_perf(&suite, args.small, &dir, args.opts());
+            run_perf(&suite, args.small, &dir);
         }
         write_manifest(&dir, &suite_names, "MD,AM", Vec::new(), Vec::new(), started);
         return;
@@ -1464,9 +1308,7 @@ fn main() {
             Implementation::AmEnabled,
             Implementation::Md,
         ] {
-            let out = tamsim_core::Experiment::new(impl_)
-                .with_opts(args.opts())
-                .run(&program);
+            let out = tamsim_core::Experiment::new(impl_).run(&program);
             let result: Vec<String> = out.result.iter().map(|w| w.as_i64().to_string()).collect();
             println!(
                 "  {:5}: result [{}]  {} instructions, tpq {:.1}",

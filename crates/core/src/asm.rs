@@ -221,7 +221,9 @@ impl Asm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tamsim_mdp::{AluOp, Machine, MachineConfig, NoHooks, Operand, Priority, Word};
+    use tamsim_mdp::{
+        AluOp, DecodedImage, Machine, MachineConfig, NoHooks, Operand, Priority, Word,
+    };
     use tamsim_trace::MemoryMap;
 
     #[test]
@@ -251,7 +253,8 @@ mod tests {
         asm.op(&mut img, Stream::User, MOp::Halt);
         asm.finish(&mut img);
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         m.run(&mut NoHooks).unwrap();
         assert_eq!(
@@ -308,7 +311,8 @@ mod tests {
         asm.op(&mut img, Stream::User, MOp::Halt);
         asm.finish(&mut img);
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         m.run(&mut NoHooks).unwrap();
         assert_eq!(m.reg(Priority::Low, Reg(0)).as_i64(), 8);
@@ -347,7 +351,8 @@ mod tests {
         asm.op(&mut img, Stream::User, MOp::Halt);
         asm.finish(&mut img);
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         m.run(&mut NoHooks).unwrap();
         assert_eq!(m.reg(Priority::Low, Reg(0)).as_i64(), 10);
@@ -382,7 +387,8 @@ mod tests {
         asm.op(&mut img, Stream::User, MOp::Halt);
         asm.finish(&mut img);
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let stats = m.run(&mut NoHooks).unwrap();
         // The sent message dispatched to the (patched) handler address.

@@ -7,8 +7,8 @@ use crate::lower::{lower_program, make_labels, LowerCtx, Lowered};
 use crate::opts::{Implementation, LoweringOptions};
 use crate::sys::gen_sys;
 use tamsim_mdp::{
-    CodeImage, DecodedImage, Hooks, Machine, MachineConfig, Mark, Priority, RunError, RunStats,
-    Word,
+    CodeImage, DecodedImage, Hooks, Machine, MachineConfig, Mark, Memory, Priority, RunError,
+    RunStats, Word,
 };
 use tamsim_obs::{ObsError, Profile, ProfileHooks, ProfileMeta, RawProfile, SymbolTable};
 use tamsim_tam::{Program, TOp, Value};
@@ -22,12 +22,9 @@ use tamsim_trace::{
 pub struct Linked {
     /// The complete code image (system + user code).
     pub code: CodeImage,
-    /// Pre-decoded threaded-code form of `code`, built once at link time
-    /// when [`LoweringOptions::predecode`] is on. Machines booted from
-    /// this link run the batched decoded dispatch loop; `None` runs the
-    /// baseline interpreter (the `--no-predecode` escape hatch). Either
-    /// way the observable event stream is bit-identical.
-    pub decoded: Option<DecodedImage>,
+    /// Pre-decoded threaded-code form of `code`, built once at link time:
+    /// the form every machine booted from this link executes.
+    pub decoded: DecodedImage,
     /// The boot message (a frame-allocation request for `main`).
     pub boot: Vec<Word>,
     /// Load-time memory initialization (descriptors, allocator bumps,
@@ -105,10 +102,7 @@ impl Linked {
     /// Build a machine loaded with this image (memory seeded, boot message
     /// injected, low context started).
     pub fn boot_machine(&self) -> Machine<'_> {
-        let mut machine = Machine::new(self.cfg, &self.code);
-        if let Some(dec) = &self.decoded {
-            machine.attach_decoded(dec);
-        }
+        let mut machine = Machine::new(self.cfg, &self.decoded);
         for (addr, w) in &self.seed {
             machine.mem.write(*addr, *w);
         }
@@ -127,16 +121,16 @@ impl Linked {
         Ok((stats, machine))
     }
 
-    /// Read the result words from a finished machine.
-    pub fn read_result(&self, machine: &Machine<'_>) -> Vec<Word> {
+    /// Read the result words from a finished machine's memory.
+    pub fn read_result(&self, mem: &Memory) -> Vec<Word> {
         (0..self.result_arity)
-            .map(|i| machine.mem.read(self.result_addr + 4 * i as u32))
+            .map(|i| mem.read(self.result_addr + 4 * i as u32))
             .collect()
     }
 
     /// Read back every initial array's I-structure cells (`None` = still
-    /// empty).
-    pub fn read_arrays(&self, machine: &Machine<'_>) -> Vec<Vec<Option<Word>>> {
+    /// empty) from a finished machine's memory.
+    pub fn read_arrays(&self, mem: &Memory) -> Vec<Vec<Option<Word>>> {
         self.array_bases
             .iter()
             .zip(&self.array_lens)
@@ -144,8 +138,8 @@ impl Linked {
                 (0..len)
                     .map(|j| {
                         let cell = base + (j as u32) * 8;
-                        let present = machine.mem.read(cell).as_i64() == 1;
-                        present.then(|| machine.mem.read(cell + 4))
+                        let present = mem.read(cell).as_i64() == 1;
+                        present.then(|| mem.read(cell + 4))
                     })
                     .collect()
             })
@@ -290,7 +284,7 @@ pub fn link(
     asm.finish(&mut img);
 
     // Pre-decode once, after all label fixups are patched in.
-    let decoded = opts.predecode.then(|| DecodedImage::decode(&img));
+    let decoded = DecodedImage::decode(&img);
 
     // Allocator bumps and initial arrays.
     seed.push((globals.frame_bump, Word::from_addr(cfg.map.frame_base)));
@@ -417,7 +411,7 @@ impl<S: TraceSink + MarkSink> Hooks for DriverHooks<'_, S> {
         self.extra.instruction(pri, pc);
     }
 
-    // Bulk path for the decoded interpreter's straight-line batches. The
+    // Bulk path for the executor's straight-line batches. The
     // per-consumer streams stay identical to the per-event expansion:
     // fetches carry no data accesses to order against (those flush the
     // batch first), the granularity segment cannot change inside a batch
@@ -571,8 +565,8 @@ impl Experiment {
         RunResult {
             implementation: self.implementation,
             instructions: stats.instructions,
-            result: linked.read_result(&machine),
-            arrays: linked.read_arrays(&machine),
+            result: linked.read_result(&machine.mem),
+            arrays: linked.read_arrays(&machine.mem),
             counts: hooks.counts.counts,
             granularity: hooks.gran,
             stats,
@@ -629,8 +623,8 @@ impl Experiment {
                     let run = RunResult {
                         implementation: self.implementation,
                         instructions: stats.instructions,
-                        result: linked.read_result(&machine),
-                        arrays: linked.read_arrays(&machine),
+                        result: linked.read_result(&machine.mem),
+                        arrays: linked.read_arrays(&machine.mem),
                         counts: hooks.counts.counts,
                         granularity: hooks.gran,
                         stats,

@@ -60,13 +60,6 @@ pub struct LoweringOptions {
     /// pushes onto the LCV, then the LCV is known to be empty, and the
     /// stop can be converted to a suspend instruction").
     pub md_stop_to_suspend: bool,
-    /// Run the simulator's pre-decoded threaded-code dispatch path instead
-    /// of the baseline enum-walking interpreter. This is a *simulator*
-    /// knob, not a lowering knob: the generated code and the observable
-    /// event stream are bit-identical either way; only wall-clock speed
-    /// changes. Off is the escape hatch (`--no-predecode`) for isolating
-    /// dispatch-path bugs.
-    pub predecode: bool,
 }
 
 impl Default for LoweringOptions {
@@ -75,20 +68,17 @@ impl Default for LoweringOptions {
             md_specialize: true,
             md_store_elim: true,
             md_stop_to_suspend: true,
-            predecode: true,
         }
     }
 }
 
 impl LoweringOptions {
-    /// All Section 2.3 optimizations disabled (ablation baseline). The
-    /// dispatch path is not a lowering ablation, so it stays pre-decoded.
+    /// All Section 2.3 optimizations disabled (ablation baseline).
     pub fn none() -> Self {
         LoweringOptions {
             md_specialize: false,
             md_store_elim: false,
             md_stop_to_suspend: false,
-            predecode: true,
         }
     }
 }

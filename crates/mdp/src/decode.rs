@@ -1,9 +1,10 @@
 //! Pre-decoded threaded code: the dense execution form of a [`CodeImage`].
 //!
-//! The baseline interpreter walks [`MOp`]s straight out of the two region
-//! vectors, paying per instruction for the region test, the `Operand` enum
-//! match, and branch-target translation. This module compiles a code image
-//! once into a single flat [`DOp`] array in which:
+//! A [`CodeImage`] stores [`MOp`]s in two region vectors; executing them
+//! directly would pay per instruction for the region test, the `Operand`
+//! enum match, and branch-target translation. This module compiles a code
+//! image once into a single flat [`DOp`] array — the form the machine's
+//! executor runs — in which:
 //!
 //! * operand registers are flat `u8` indices and the `Operand::Reg` /
 //!   `Operand::Imm` ALU forms are split into distinct decoded ops,
@@ -14,22 +15,24 @@
 //!   [`DOp::MovISt`]) — each retaining the exact two-instruction cost and
 //!   event sequence of its parts,
 //! * each region ends in a [`DOp::Wild`] guard slot so sequential
-//!   fall-through off the end of a region panics with the same message the
-//!   baseline's bounds check produces.
+//!   fall-through off the end of a region panics with the same message as
+//!   [`CodeImage::at`]'s bounds check.
 //!
 //! Layout is slot-per-instruction: the op at code address `a` lives at one
 //! decoded index regardless of fusion, and a fused op's *second* slot still
 //! holds that instruction's own (possibly itself fused) decoding, so
-//! branching into the middle of a fused pair executes exactly the baseline
-//! sequence. Fusion never changes semantics — the executor applies the two
-//! halves strictly in order over the register file — so the decoded and
-//! baseline interpreters are bit-identical in results, statistics, and
-//! event streams (`tamsim-check` enforces this differentially).
+//! branching into the middle of a fused pair, or resuming there after a
+//! budgeted step, executes exactly the unfused sequence. Fusion never
+//! changes semantics — the executor applies the two halves strictly in
+//! order over the register file — so execution is bit-identical to
+//! walking the [`MOp`]s one at a time, in results, statistics, and event
+//! streams (`tamsim-check`'s reference interpreter enforces this
+//! differentially).
 
 use crate::{AluOp, CodeImage, FAluOp, MOp, Mark, Operand, Priority, SendSrc, Word};
 
 /// Sentinel decoded index for a branch target outside the code image.
-/// Executing a jump to it reproduces the baseline's wild-jump panic.
+/// Executing a jump to it panics like [`CodeImage::at`] on a wild jump.
 pub const INVALID_TARGET: u32 = u32::MAX;
 
 /// Pre-split second operand of a decoded ALU half (fused ops only; plain
@@ -205,7 +208,7 @@ impl DecodedImage {
         }
     }
 
-    /// Panic with the baseline interpreter's wild-jump message for `addr`.
+    /// Panic with [`CodeImage::at`]'s wild-jump message for `addr`.
     #[cold]
     #[inline(never)]
     pub fn wild_jump(&self, addr: u32) -> ! {
@@ -216,7 +219,7 @@ impl DecodedImage {
         }
     }
 
-    /// The decoded index of `addr`, panicking exactly like the baseline's
+    /// The decoded index of `addr`, panicking exactly like
     /// [`CodeImage::at`] on a wild jump.
     #[inline]
     pub fn idx_of(&self, addr: u32) -> u32 {

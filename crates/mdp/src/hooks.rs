@@ -28,14 +28,14 @@ pub trait Hooks {
     /// `n` consecutive instructions fetched and executed at `pri`,
     /// starting at `start_pc` and walking up in 4-byte steps.
     ///
-    /// The batched dispatch loop emits straight-line runs through this
-    /// hook instead of one `access` + `instruction` pair per op. The
-    /// default expansion reproduces the per-instruction contract exactly
-    /// — one fetch then one tick per op, in address order — so any
-    /// implementation that leaves it alone observes a stream identical to
-    /// the baseline interpreter's. Implementations may override it to
-    /// process the run in bulk, but only if their observable output stays
-    /// equal to the default expansion's.
+    /// The executor emits straight-line runs through this hook instead of
+    /// one `access` + `instruction` pair per op. The default expansion
+    /// reproduces the per-instruction contract exactly — one fetch then
+    /// one tick per op, in address order — so any implementation that
+    /// leaves it alone observes the per-instruction stream.
+    /// Implementations may override it to process the run in bulk, but
+    /// only if their observable output stays equal to the default
+    /// expansion's.
     #[inline]
     fn fetch_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
         for k in 0..n {

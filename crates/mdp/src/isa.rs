@@ -88,6 +88,44 @@ pub enum AluOp {
     Max,
 }
 
+impl AluOp {
+    /// `a op b`: wrapping arithmetic, shifts by `b mod 64`, comparisons
+    /// as 0/1.
+    ///
+    /// # Panics
+    /// On division or remainder by zero; the message names `pc`, the
+    /// faulting instruction.
+    #[inline]
+    pub fn eval(self, a: i64, b: i64, pc: u32) -> i64 {
+        match self {
+            AluOp::Add => a.wrapping_add(b),
+            AluOp::Sub => a.wrapping_sub(b),
+            AluOp::Mul => a.wrapping_mul(b),
+            AluOp::Div => {
+                assert!(b != 0, "division by zero at pc {pc:#x}");
+                a.wrapping_div(b)
+            }
+            AluOp::Rem => {
+                assert!(b != 0, "remainder by zero at pc {pc:#x}");
+                a.wrapping_rem(b)
+            }
+            AluOp::And => a & b,
+            AluOp::Or => a | b,
+            AluOp::Xor => a ^ b,
+            AluOp::Shl => a.wrapping_shl(b as u32),
+            AluOp::Shr => a.wrapping_shr(b as u32),
+            AluOp::Eq => (a == b) as i64,
+            AluOp::Ne => (a != b) as i64,
+            AluOp::Lt => (a < b) as i64,
+            AluOp::Le => (a <= b) as i64,
+            AluOp::Gt => (a > b) as i64,
+            AluOp::Ge => (a >= b) as i64,
+            AluOp::Min => a.min(b),
+            AluOp::Max => a.max(b),
+        }
+    }
+}
+
 /// Floating-point operations (operands viewed as `f64`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FAluOp {
@@ -122,6 +160,26 @@ impl FAluOp {
             self,
             FAluOp::ItoF | FAluOp::FtoI | FAluOp::FNeg | FAluOp::FAbs
         )
+    }
+
+    /// `a op b` with both words read as `f64` (unary ops ignore `b`).
+    #[inline]
+    pub fn eval(self, a: Word, b: Word) -> Word {
+        match self {
+            FAluOp::FAdd => Word::from_f64(a.as_f64() + b.as_f64()),
+            FAluOp::FSub => Word::from_f64(a.as_f64() - b.as_f64()),
+            FAluOp::FMul => Word::from_f64(a.as_f64() * b.as_f64()),
+            FAluOp::FDiv => Word::from_f64(a.as_f64() / b.as_f64()),
+            FAluOp::FLt => Word::from_bool(a.as_f64() < b.as_f64()),
+            FAluOp::FLe => Word::from_bool(a.as_f64() <= b.as_f64()),
+            FAluOp::FEq => Word::from_bool(a.as_f64() == b.as_f64()),
+            FAluOp::ItoF => Word::from_f64(a.as_i64() as f64),
+            FAluOp::FtoI => Word::from_i64(a.as_f64() as i64),
+            FAluOp::FNeg => Word::from_f64(-a.as_f64()),
+            FAluOp::FAbs => Word::from_f64(a.as_f64().abs()),
+            FAluOp::FMin => Word::from_f64(a.as_f64().min(b.as_f64())),
+            FAluOp::FMax => Word::from_f64(a.as_f64().max(b.as_f64())),
+        }
     }
 }
 

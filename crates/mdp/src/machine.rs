@@ -16,11 +16,35 @@
 //! The machine halts explicitly (a completion inlet executes [`MOp::Halt`])
 //! or quiesces when both queues are empty and the low-priority context has
 //! suspended — on a uniprocessor no further work can ever arrive.
+//!
+//! # The executor
+//!
+//! One loop executes the [`DecodedImage`]: it runs free transitions
+//! (message dispatch and [`MOp::Mark`]) and at most a budget of costed
+//! instructions per call. [`Machine::step`] is a budget of one, the
+//! mesh's one cycle; [`Machine::run`] is an unbounded budget over the
+//! always-local [`Loopback`] port. The contract:
+//!
+//! * A call stops right after its last costed instruction, before any
+//!   later mark, dispatch, [`NetPort::route`] call or region-end guard. A
+//!   fused pair with one instruction of budget left runs its first half
+//!   and parks the pc on the pair's second slot, which holds that
+//!   instruction's own decoding. On one node, `k` calls at budget 1
+//!   therefore equal one call at budget `k`.
+//! * Straight-line stretches reach the hooks as [`Hooks::fetch_run`]
+//!   batches, flushed before anything the stream orders against (data
+//!   accesses, marks, control transfers, suspension, errors), so every
+//!   hook observes the per-instruction stream of the [`Hooks`] contract.
+//! * Every send is offered to the port before it is charged; a refused
+//!   one ([`Step::Blocked`]) has no effect and retries verbatim.
+//!
+//! `tamsim-check` holds an independent enum-walking interpreter over the
+//! [`CodeImage`] and requires this executor to match it event for event.
 
 use crate::decode::{DOp, DOperand, DSendSrc, DecodedImage, INVALID_TARGET};
 use crate::queue::{MessageQueue, MsgRef, DEFAULT_QUEUE_WORDS};
-use crate::{AluOp, FAluOp};
-use crate::{CodeImage, Hooks, MOp, Memory, Operand, Priority, Reg, SendSrc, Word};
+use crate::AluOp;
+use crate::{CodeImage, Hooks, MOp, Memory, Priority, Reg, Word};
 use tamsim_trace::{Access, MemoryMap};
 
 /// Addresses of the system-data structures derived from the configuration.
@@ -213,13 +237,10 @@ pub struct RunStats {
     pub halt: HaltReason,
 }
 
-/// The machine: registers, memory, queues, and the execution loop.
+/// The machine: registers, memory, queues, and the executor.
 pub struct Machine<'c> {
     cfg: MachineConfig,
-    code: &'c CodeImage,
-    /// Pre-decoded form of `code`; when attached, [`Machine::step`] and
-    /// [`Machine::run`] use the threaded-code dispatch paths.
-    decoded: Option<&'c DecodedImage>,
+    code: &'c DecodedImage,
     /// Data memory (public so drivers can seed inputs and read results).
     pub mem: Memory,
     regs: [[Word; Reg::COUNT]; 2],
@@ -240,8 +261,8 @@ pub struct Machine<'c> {
 }
 
 impl<'c> Machine<'c> {
-    /// A fresh machine over `code`.
-    pub fn new(cfg: MachineConfig, code: &'c CodeImage) -> Self {
+    /// A fresh machine over the pre-decoded `code`.
+    pub fn new(cfg: MachineConfig, code: &'c DecodedImage) -> Self {
         let layout = cfg.sys_layout();
         Machine {
             mem: Memory::new(&cfg.map),
@@ -263,29 +284,7 @@ impl<'c> Machine<'c> {
             send_words: 0,
             cfg,
             code,
-            decoded: None,
         }
-    }
-
-    /// Attach a pre-decoded image; subsequent [`Machine::step`] /
-    /// [`Machine::run`] calls use the threaded-code dispatch paths
-    /// (bit-identical to the baseline interpreter).
-    ///
-    /// # Panics
-    /// Panics if `dec` was not decoded from a code image with the same
-    /// region shape as this machine's.
-    pub fn attach_decoded(&mut self, dec: &'c DecodedImage) {
-        assert_eq!(
-            dec.len(),
-            self.code.sys_len() + self.code.user_len() + 2,
-            "decoded image does not match the machine's code image"
-        );
-        self.decoded = Some(dec);
-    }
-
-    /// Whether a pre-decoded image is attached.
-    pub fn is_decoded(&self) -> bool {
-        self.decoded.is_some()
     }
 
     /// Read a register (tests and drivers).
@@ -343,19 +342,23 @@ impl<'c> Machine<'c> {
     }
 
     /// Write a message's words into queue memory, emitting one trace write
-    /// per word (hardware buffering traffic; see the module docs).
+    /// per word (hardware buffering traffic; see the module docs). An
+    /// associated function over the two fields it touches, so the
+    /// executor can enqueue straight from `send_buf`.
     fn enqueue_words<H: Hooks>(
-        &mut self,
+        queues: &mut [MessageQueue; 2],
+        mem: &mut Memory,
         target: Priority,
         words: &[Word],
         hooks: &mut H,
     ) -> Result<(), RunError> {
-        let m = self.queues[target.index()]
+        let q = &mut queues[target.index()];
+        let m = q
             .begin_enqueue(words.len() as u32)
             .ok_or(RunError::QueueOverflow { pri: target })?;
         for (i, w) in words.iter().enumerate() {
-            let addr = self.queues[target.index()].addr_of(m.start, i as u32);
-            self.mem.write(addr, *w);
+            let addr = q.addr_of(m.start, i as u32);
+            mem.write(addr, *w);
             hooks.access(Access::write(addr));
         }
         Ok(())
@@ -367,7 +370,7 @@ impl<'c> Machine<'c> {
     /// space — the network interface holds the message and retries
     /// (back-pressure propagates to the sender; nothing is ever dropped).
     pub fn try_deliver<H: Hooks>(&mut self, pri: Priority, words: &[Word], hooks: &mut H) -> bool {
-        self.enqueue_words(pri, words, hooks).is_ok()
+        Self::enqueue_words(&mut self.queues, &mut self.mem, pri, words, hooks).is_ok()
     }
 
     /// The program counter of the `pri` context, or `None` when that
@@ -428,10 +431,6 @@ impl<'c> Machine<'c> {
     /// Snapshot the run counters. [`Machine::run`] calls this internally;
     /// mesh drivers call it per node once the global clock stops.
     pub fn stats(&self, halt: HaltReason) -> RunStats {
-        self.finish(halt)
-    }
-
-    fn finish(&self, halt: HaltReason) -> RunStats {
         RunStats {
             instructions: self.instructions,
             instructions_by_pri: self.instructions_by_pri,
@@ -449,91 +448,66 @@ impl<'c> Machine<'c> {
 
     /// Run until halt, quiescence, or error, streaming events into `hooks`.
     ///
-    /// With a pre-decoded image attached this uses the batched
-    /// threaded-code executor ([`Machine::run_decoded`]); otherwise it is
-    /// exactly a [`Machine::step`] loop over the always-local [`Loopback`]
+    /// One unbounded executor call over the always-local [`Loopback`]
     /// port: on a single node every send loops straight back into the
     /// local queue, and idleness is quiescence (no further work can ever
-    /// arrive). Both paths produce bit-identical results, statistics, and
-    /// event streams.
+    /// arrive).
+    // Out of line: one call per run, and the inlined executor measured
+    // slower inside its callers than in a function of its own.
+    #[inline(never)]
     pub fn run<H: Hooks>(&mut self, hooks: &mut H) -> Result<RunStats, RunError> {
-        match self.decoded {
-            Some(dec) => self.run_decoded_inner(dec, hooks),
-            None => self.run_baseline(hooks),
+        match self.exec::<false, _, _>(hooks, &mut Loopback, u64::MAX)? {
+            Step::Idle => Ok(self.stats(HaltReason::Quiescent)),
+            Step::Halted(reason) => Ok(self.stats(reason)),
+            Step::Ran | Step::Blocked => unreachable!("an unbounded loopback run never pauses"),
         }
-    }
-
-    /// The baseline (non-predecoded) run loop.
-    pub fn run_baseline<H: Hooks>(&mut self, hooks: &mut H) -> Result<RunStats, RunError> {
-        loop {
-            match self.step_baseline(hooks, &mut Loopback)? {
-                Step::Ran => {}
-                Step::Idle => return Ok(self.finish(HaltReason::Quiescent)),
-                Step::Halted(reason) => return Ok(self.finish(reason)),
-                Step::Blocked => unreachable!("loopback port never blocks"),
-            }
-        }
-    }
-
-    /// Run the attached pre-decoded image to completion with batched
-    /// straight-line dispatch.
-    ///
-    /// # Panics
-    /// Panics if no decoded image is attached.
-    pub fn run_decoded<H: Hooks>(&mut self, hooks: &mut H) -> Result<RunStats, RunError> {
-        let dec = self
-            .decoded
-            .expect("run_decoded: no decoded image attached");
-        self.run_decoded_inner(dec, hooks)
     }
 
     /// Execute one instruction, offering any `SEND` to `net` first.
     ///
     /// Free transitions — message dispatch and [`MOp::Mark`] — do not end
     /// the step: the machine keeps going until it executes one costed
-    /// instruction ([`Step::Ran`]), runs out of work ([`Step::Idle`]),
-    /// stalls on a busy network port ([`Step::Blocked`], zero side
-    /// effects), or halts. One `Ran`/`Blocked` step is one machine cycle
-    /// on the mesh's global clock.
-    ///
-    /// With a pre-decoded image attached this routes to
-    /// [`Machine::step_decoded`], which preserves the
-    /// one-costed-instruction-per-step contract exactly (fused
-    /// superinstructions execute their first half only), so mesh drivers
-    /// interleave decoded machines cycle-for-cycle like baseline ones.
+    /// instruction ([`Step::Ran`]; a fused pair runs its first half),
+    /// runs out of work ([`Step::Idle`]), stalls on a busy network port
+    /// ([`Step::Blocked`], zero side effects), or halts. One
+    /// `Ran`/`Blocked` step is one machine cycle on the mesh's global
+    /// clock.
     pub fn step<H: Hooks, N: NetPort>(
         &mut self,
         hooks: &mut H,
         net: &mut N,
     ) -> Result<Step, RunError> {
-        match self.decoded {
-            Some(dec) => self.step_decoded_inner(dec, hooks, net),
-            None => self.step_baseline(hooks, net),
-        }
+        self.exec::<true, _, _>(hooks, net, 1)
     }
 
-    /// One instruction through the pre-decoded dispatch path.
+    /// The executor: free transitions and at most `budget` (at least 1)
+    /// costed instructions, under the contract in the module docs.
     ///
-    /// # Panics
-    /// Panics if no decoded image is attached.
-    pub fn step_decoded<H: Hooks, N: NetPort>(
+    /// Returns [`Step::Ran`] when the budget is spent, and otherwise how
+    /// the call ended early: idle, a blocked send (parked on, with every
+    /// earlier instruction of the call done), or a halt.
+    ///
+    /// `ONE` specialises the body for a budget of 1, the mesh's per-cycle
+    /// step: the call returns right after its costed instruction instead
+    /// of finding the budget spent at the next one. Always inlined: a
+    /// call per mesh step measurably slowed the mesh workload.
+    #[inline(always)]
+    fn exec<const ONE: bool, H: Hooks, N: NetPort>(
         &mut self,
         hooks: &mut H,
         net: &mut N,
+        budget: u64,
     ) -> Result<Step, RunError> {
-        let dec = self
-            .decoded
-            .expect("step_decoded: no decoded image attached");
-        self.step_decoded_inner(dec, hooks, net)
-    }
-
-    /// One instruction through the baseline enum-walking interpreter.
-    pub fn step_baseline<H: Hooks, N: NetPort>(
-        &mut self,
-        hooks: &mut H,
-        net: &mut N,
-    ) -> Result<Step, RunError> {
-        loop {
+        debug_assert!(budget > 0 && (!ONE || budget == 1));
+        let dec = self.code;
+        // The call ends once `instructions` reaches `stop`. The budget
+        // folds into the fuel limit, so each charge makes one compare.
+        let stop = self.instructions.saturating_add(budget);
+        let limit = stop.min(self.cfg.fuel);
+        'outer: loop {
+            if self.instructions >= stop {
+                return Ok(Step::Ran);
+            }
             // Preemption / activation of high-priority work. High-priority
             // tasks are never preempted; low-priority tasks are preempted
             // only with interrupts enabled (or when suspended).
@@ -556,428 +530,36 @@ impl<'c> Machine<'c> {
                 }
             };
 
-            let op = self.code.at(pc);
             let p = pri.index();
-
-            if let MOp::Mark(m) = op {
-                let frame = self.regs[p][Reg::FP.index()].bits() as u32;
-                hooks.queue_sample([self.queues[0].used_words(), self.queues[1].used_words()]);
-                hooks.mark(*m, frame, pri);
-                self.set_pc(pri, pc + 4);
-                continue;
-            }
-
-            // Sends resolve and route *before* the instruction is charged:
-            // a busy port means the instruction has not happened yet — no
-            // fetch, no counters, no pc change — and will retry verbatim.
-            if let MOp::Send { pri: target, srcs } = op {
-                let mut buf = std::mem::take(&mut self.send_buf);
-                buf.clear();
-                for s in srcs {
-                    buf.push(match s {
-                        SendSrc::Reg(r) => self.regs[p][r.index()],
-                        SendSrc::Imm(w) => *w,
-                    });
-                }
-                let outcome = net.route(*target, &buf);
-                if outcome == RouteOutcome::Busy {
-                    self.send_buf = buf;
-                    return Ok(Step::Blocked);
-                }
-                hooks.access(Access::fetch(pc));
-                hooks.instruction(pri, pc);
-                self.instructions += 1;
-                self.instructions_by_pri[p] += 1;
-                if self.instructions > self.cfg.fuel {
-                    self.send_buf = buf;
-                    return Err(RunError::FuelExhausted);
-                }
-                if outcome == RouteOutcome::Local {
-                    let res = self.enqueue_words(*target, &buf, hooks);
-                    self.send_buf = buf;
-                    res?;
-                } else {
-                    self.send_buf = buf;
-                }
-                self.sends += 1;
-                self.send_words += srcs.len() as u64;
-                self.set_pc(pri, pc + 4);
-                return Ok(Step::Ran);
-            }
-
-            hooks.access(Access::fetch(pc));
-            hooks.instruction(pri, pc);
-            self.instructions += 1;
-            self.instructions_by_pri[p] += 1;
-            if self.instructions > self.cfg.fuel {
-                return Err(RunError::FuelExhausted);
-            }
-
-            let mut next = pc + 4;
-            match op {
-                MOp::MovI { d, v } => self.regs[p][d.index()] = *v,
-                MOp::Mov { d, s } => self.regs[p][d.index()] = self.regs[p][s.index()],
-                MOp::Alu { op, d, a, b } => {
-                    let a = self.regs[p][a.index()].as_i64();
-                    let b = match b {
-                        Operand::Reg(r) => self.regs[p][r.index()].as_i64(),
-                        Operand::Imm(v) => *v,
-                    };
-                    self.regs[p][d.index()] = Word::from_i64(eval_alu(*op, a, b, pc));
-                }
-                MOp::FAlu { op, d, a, b } => {
-                    let av = self.regs[p][a.index()];
-                    let bv = self.regs[p][b.index()];
-                    self.regs[p][d.index()] = eval_falu(*op, av, bv);
-                }
-                MOp::Ld { d, base, off } => {
-                    let addr = offset_addr(self.regs[p][base.index()].as_addr(), *off)
-                        & self.cfg.addr_mask;
-                    hooks.access(Access::read(addr));
-                    self.regs[p][d.index()] = self.mem.read(addr);
-                }
-                MOp::LdA { d, addr } => {
-                    hooks.access(Access::read(*addr));
-                    self.regs[p][d.index()] = self.mem.read(*addr);
-                }
-                MOp::St { s, base, off } => {
-                    let addr = offset_addr(self.regs[p][base.index()].as_addr(), *off)
-                        & self.cfg.addr_mask;
-                    hooks.access(Access::write(addr));
-                    self.mem.write(addr, self.regs[p][s.index()]);
-                }
-                MOp::StA { s, addr } => {
-                    hooks.access(Access::write(*addr));
-                    self.mem.write(*addr, self.regs[p][s.index()]);
-                }
-                MOp::LdMsg { d, idx } => {
-                    let m = self.cur_msg[p].expect("LdMsg with no current message");
-                    debug_assert!((*idx as u32) < m.len, "LdMsg index beyond message");
-                    let addr = self.queues[p].addr_of(m.start, *idx as u32);
-                    hooks.access(Access::read(addr));
-                    self.regs[p][d.index()] = self.mem.read(addr);
-                }
-                MOp::LdMsgIdx { d, idx } => {
-                    let m = self.cur_msg[p].expect("LdMsgIdx with no current message");
-                    let i = self.regs[p][idx.index()].as_i64();
-                    debug_assert!(
-                        i >= 0 && (i as u32) < m.len,
-                        "LdMsgIdx index beyond message"
-                    );
-                    let addr = self.queues[p].addr_of(m.start, i as u32);
-                    hooks.access(Access::read(addr));
-                    self.regs[p][d.index()] = self.mem.read(addr);
-                }
-                MOp::Br { t } => next = *t,
-                MOp::Bz { c, t } => {
-                    if !self.regs[p][c.index()].as_bool() {
-                        next = *t;
-                    }
-                }
-                MOp::Bnz { c, t } => {
-                    if self.regs[p][c.index()].as_bool() {
-                        next = *t;
-                    }
-                }
-                MOp::Jr { s } => next = self.regs[p][s.index()].as_addr(),
-                MOp::Call { t } => {
-                    self.regs[p][Reg::LINK.index()] = Word::from_addr(pc + 4);
-                    next = *t;
-                }
-                MOp::Ret => next = self.regs[p][Reg::LINK.index()].as_addr(),
-                MOp::Suspend => {
-                    if let Some(m) = self.cur_msg[p].take() {
-                        self.queues[p].retire(m);
-                    }
-                    match pri {
-                        Priority::High => self.high_pc = None,
-                        Priority::Low => self.low_pc = None,
-                    }
-                    return Ok(Step::Ran);
-                }
-                MOp::EnableInt => self.ints_enabled = true,
-                MOp::DisableInt => self.ints_enabled = false,
-                MOp::Halt => return Ok(Step::Halted(HaltReason::Explicit)),
-                MOp::Mark(_) | MOp::Send { .. } => unreachable!("handled above"),
-            }
-            self.set_pc(pri, next);
-            return Ok(Step::Ran);
-        }
-    }
-
-    /// One instruction through the decoded dispatch path.
-    ///
-    /// Mirrors [`Machine::step_baseline`] exactly — same preemption and
-    /// dispatch rules, same hook order, same blocked-send rewind — but
-    /// reads pre-decoded [`DOp`]s. Fused superinstructions execute their
-    /// *first* half only (the second slot holds that instruction's own
-    /// decoding), preserving the one-costed-instruction-per-step contract
-    /// mesh drivers schedule by.
-    fn step_decoded_inner<H: Hooks, N: NetPort>(
-        &mut self,
-        dec: &DecodedImage,
-        hooks: &mut H,
-        net: &mut N,
-    ) -> Result<Step, RunError> {
-        loop {
-            if self.high_pc.is_none()
-                && !self.queues[Priority::High.index()].is_empty()
-                && (self.low_pc.is_none() || self.ints_enabled)
-            {
-                self.dispatch(Priority::High, hooks);
-            }
-
-            let (pri, pc) = match (self.high_pc, self.low_pc) {
-                (Some(pc), _) => (Priority::High, pc),
-                (None, Some(pc)) => (Priority::Low, pc),
-                (None, None) => {
-                    if !self.queues[Priority::Low.index()].is_empty() {
-                        self.dispatch(Priority::Low, hooks);
-                        continue;
-                    }
-                    return Ok(Step::Idle);
-                }
-            };
-
-            let op = dec.op(dec.idx_of(pc));
-            let p = pri.index();
-
-            if let DOp::Wild { addr, .. } = op {
-                // Sequential fall-through past a region end; the baseline
-                // panics in `CodeImage::at` before emitting any event.
-                dec.wild_jump(*addr);
-            }
-
-            if let DOp::Mark(m) = op {
-                let frame = self.regs[p][Reg::FP.index()].bits() as u32;
-                hooks.queue_sample([self.queues[0].used_words(), self.queues[1].used_words()]);
-                hooks.mark(*m, frame, pri);
-                self.set_pc(pri, pc + 4);
-                continue;
-            }
-
-            if let DOp::Send { pri: target, sid } = op {
-                let mut buf = std::mem::take(&mut self.send_buf);
-                buf.clear();
-                for s in dec.send_srcs(*sid) {
-                    buf.push(match s {
-                        DSendSrc::Reg(r) => self.regs[p][*r as usize & 15],
-                        DSendSrc::Imm(w) => *w,
-                    });
-                }
-                let outcome = net.route(*target, &buf);
-                if outcome == RouteOutcome::Busy {
-                    self.send_buf = buf;
-                    return Ok(Step::Blocked);
-                }
-                hooks.access(Access::fetch(pc));
-                hooks.instruction(pri, pc);
-                self.instructions += 1;
-                self.instructions_by_pri[p] += 1;
-                if self.instructions > self.cfg.fuel {
-                    self.send_buf = buf;
-                    return Err(RunError::FuelExhausted);
-                }
-                let words = buf.len() as u64;
-                if outcome == RouteOutcome::Local {
-                    let res = self.enqueue_words(*target, &buf, hooks);
-                    self.send_buf = buf;
-                    res?;
-                } else {
-                    self.send_buf = buf;
-                }
-                self.sends += 1;
-                self.send_words += words;
-                self.set_pc(pri, pc + 4);
-                return Ok(Step::Ran);
-            }
-
-            hooks.access(Access::fetch(pc));
-            hooks.instruction(pri, pc);
-            self.instructions += 1;
-            self.instructions_by_pri[p] += 1;
-            if self.instructions > self.cfg.fuel {
-                return Err(RunError::FuelExhausted);
-            }
-
-            let mut next = pc + 4;
-            match op {
-                DOp::MovI { d, v } => self.regs[p][*d as usize & 15] = *v,
-                DOp::Mov { d, s } => {
-                    self.regs[p][*d as usize & 15] = self.regs[p][*s as usize & 15]
-                }
-                DOp::AluRR { op, d, a, b } => {
-                    let av = self.regs[p][*a as usize & 15].as_i64();
-                    let bv = self.regs[p][*b as usize & 15].as_i64();
-                    self.regs[p][*d as usize & 15] = Word::from_i64(eval_alu(*op, av, bv, pc));
-                }
-                DOp::AluRI { op, d, a, imm } => {
-                    let av = self.regs[p][*a as usize & 15].as_i64();
-                    self.regs[p][*d as usize & 15] = Word::from_i64(eval_alu(*op, av, *imm, pc));
-                }
-                DOp::FAlu { op, d, a, b } => {
-                    let av = self.regs[p][*a as usize & 15];
-                    let bv = self.regs[p][*b as usize & 15];
-                    self.regs[p][*d as usize & 15] = eval_falu(*op, av, bv);
-                }
-                DOp::Ld { d, base, off } => {
-                    let addr = offset_addr(self.regs[p][*base as usize & 15].as_addr(), *off)
-                        & self.cfg.addr_mask;
-                    hooks.access(Access::read(addr));
-                    self.regs[p][*d as usize & 15] = self.mem.read(addr);
-                }
-                DOp::LdA { d, addr } => {
-                    hooks.access(Access::read(*addr));
-                    self.regs[p][*d as usize & 15] = self.mem.read(*addr);
-                }
-                DOp::St { s, base, off } => {
-                    let addr = offset_addr(self.regs[p][*base as usize & 15].as_addr(), *off)
-                        & self.cfg.addr_mask;
-                    hooks.access(Access::write(addr));
-                    self.mem.write(addr, self.regs[p][*s as usize & 15]);
-                }
-                DOp::StA { s, addr } => {
-                    hooks.access(Access::write(*addr));
-                    self.mem.write(*addr, self.regs[p][*s as usize & 15]);
-                }
-                DOp::LdMsg { d, idx } => {
-                    let m = self.cur_msg[p].expect("LdMsg with no current message");
-                    debug_assert!((*idx as u32) < m.len, "LdMsg index beyond message");
-                    let addr = self.queues[p].addr_of(m.start, *idx as u32);
-                    hooks.access(Access::read(addr));
-                    self.regs[p][*d as usize & 15] = self.mem.read(addr);
-                }
-                DOp::LdMsgIdx { d, idx } => {
-                    let m = self.cur_msg[p].expect("LdMsgIdx with no current message");
-                    let i = self.regs[p][*idx as usize & 15].as_i64();
-                    debug_assert!(
-                        i >= 0 && (i as u32) < m.len,
-                        "LdMsgIdx index beyond message"
-                    );
-                    let addr = self.queues[p].addr_of(m.start, i as u32);
-                    hooks.access(Access::read(addr));
-                    self.regs[p][*d as usize & 15] = self.mem.read(addr);
-                }
-                DOp::Br { t, .. } => next = *t,
-                DOp::Bz { c, t, .. } => {
-                    if !self.regs[p][*c as usize & 15].as_bool() {
-                        next = *t;
-                    }
-                }
-                DOp::Bnz { c, t, .. } => {
-                    if self.regs[p][*c as usize & 15].as_bool() {
-                        next = *t;
-                    }
-                }
-                DOp::Jr { s } => next = self.regs[p][*s as usize & 15].as_addr(),
-                DOp::Call { t, .. } => {
-                    self.regs[p][Reg::LINK.index()] = Word::from_addr(pc + 4);
-                    next = *t;
-                }
-                DOp::Ret => next = self.regs[p][Reg::LINK.index()].as_addr(),
-                DOp::Suspend => {
-                    if let Some(m) = self.cur_msg[p].take() {
-                        self.queues[p].retire(m);
-                    }
-                    match pri {
-                        Priority::High => self.high_pc = None,
-                        Priority::Low => self.low_pc = None,
-                    }
-                    return Ok(Step::Ran);
-                }
-                DOp::EnableInt => self.ints_enabled = true,
-                DOp::DisableInt => self.ints_enabled = false,
-                DOp::Halt => return Ok(Step::Halted(HaltReason::Explicit)),
-                // Fused superinstructions: first half only in step mode.
-                DOp::CmpBr { op, d, a, b, .. } => {
-                    let av = self.regs[p][*a as usize & 15].as_i64();
-                    let bv = match b {
-                        DOperand::Reg(r) => self.regs[p][*r as usize & 15].as_i64(),
-                        DOperand::Imm(v) => *v,
-                    };
-                    self.regs[p][*d as usize & 15] = Word::from_i64(eval_alu(*op, av, bv, pc));
-                }
-                DOp::LdAlu {
-                    ld_d, base, off, ..
-                } => {
-                    let addr = offset_addr(self.regs[p][*base as usize & 15].as_addr(), *off)
-                        & self.cfg.addr_mask;
-                    hooks.access(Access::read(addr));
-                    self.regs[p][*ld_d as usize & 15] = self.mem.read(addr);
-                }
-                DOp::MovISt { d, v, .. } => self.regs[p][*d as usize & 15] = *v,
-                DOp::Mark(_) | DOp::Send { .. } | DOp::Wild { .. } => {
-                    unreachable!("handled above")
-                }
-            }
-            self.set_pc(pri, next);
-            return Ok(Step::Ran);
-        }
-    }
-
-    /// The batched decoded run loop (single node, always-local sends).
-    ///
-    /// Straight-line stretches execute without returning to the outer
-    /// dispatch loop; their instruction fetches and ticks are emitted as
-    /// one [`Hooks::fetch_run`] batch whose default expansion is exactly
-    /// the per-instruction stream. The batch is flushed before anything
-    /// the stream orders against — data accesses, marks, control
-    /// transfers, suspension, errors — so every hook implementation
-    /// observes the events of the baseline interpreter in the baseline
-    /// order.
-    ///
-    /// Only `SEND` (high priority), `EnableInt`, `Suspend`, and `Halt` can
-    /// change the outer loop's preemption/dispatch decision on a single
-    /// node, so those are the only ops that end a batch early; everything
-    /// else keeps streaming.
-    fn run_decoded_inner<H: Hooks>(
-        &mut self,
-        dec: &DecodedImage,
-        hooks: &mut H,
-    ) -> Result<RunStats, RunError> {
-        'outer: loop {
-            if self.high_pc.is_none()
-                && !self.queues[Priority::High.index()].is_empty()
-                && (self.low_pc.is_none() || self.ints_enabled)
-            {
-                self.dispatch(Priority::High, hooks);
-            }
-
-            let (pri, pc) = match (self.high_pc, self.low_pc) {
-                (Some(pc), _) => (Priority::High, pc),
-                (None, Some(pc)) => (Priority::Low, pc),
-                (None, None) => {
-                    if !self.queues[Priority::Low.index()].is_empty() {
-                        self.dispatch(Priority::Low, hooks);
-                        continue;
-                    }
-                    return Ok(self.finish(HaltReason::Quiescent));
-                }
-            };
-
-            let p = pri.index();
+            // A wild pc panics here, before any event.
             let mut idx = dec.idx_of(pc);
             // `cur_pc` is the address of the op at `idx`; `pend` counts
-            // already-executed ops whose fetch/tick events are still
-            // pending. Batches are contiguous, so the pending run starts
-            // at `cur_pc - pend * 4` (or includes `cur_pc` when flushed
-            // via `flush_incl`).
+            // executed ops whose fetch/tick events are still pending.
+            // Batches are contiguous, so the pending run starts at
+            // `cur_pc - pend * 4`.
             let mut cur_pc = pc;
             let mut pend: u32 = 0;
 
-            // Charge one instruction at address `$at`; on fuel exhaustion
-            // emit the failing op's fetch+tick (batched), park the pc on
-            // it, and error with no effects applied — exactly baseline.
+            // Charge one instruction at address `$at`, or end the call if
+            // the fuel or the budget is spent.
             macro_rules! charge {
                 ($at:expr) => {
+                    if self.instructions >= limit {
+                        return self.limit_reached(hooks, pri, $at, pend, stop);
+                    }
                     self.instructions += 1;
                     self.instructions_by_pri[p] += 1;
-                    if self.instructions > self.cfg.fuel {
-                        pend += 1;
-                        hooks.fetch_run(pri, $at - (pend - 1) * 4, pend);
-                        self.set_pc(pri, $at);
-                        return Err(RunError::FuelExhausted);
+                };
+            }
+            // Charge a fused pair's second half, at `$at`. With a budget
+            // of 1 the call always ends before it.
+            macro_rules! charge_second {
+                ($at:expr) => {
+                    if ONE {
+                        self.park(hooks, pri, $at, pend);
+                        return Ok(Step::Ran);
                     }
+                    charge!($at);
                 };
             }
             // Flush the pending batch *including* the op at `$at` (its
@@ -993,15 +575,32 @@ impl<'c> Machine<'c> {
                     }
                 };
             }
-            // Flush the pending batch *excluding* the current op (marks
-            // and guards emit no fetch of their own).
-            macro_rules! flush_before {
-                () => {
-                    if pend > 0 {
-                        hooks.fetch_run(pri, cur_pc - pend * 4, pend);
-                        #[allow(unused_assignments)]
-                        {
-                            pend = 0;
+            // Jump to `$t` through its decoded index `$ti`. A target
+            // outside the image parks the pc on it; the outer loop's
+            // lookup then panics, once the budget allows.
+            macro_rules! jump {
+                ($ti:expr, $t:expr) => {
+                    let (ti, t): (u32, u32) = ($ti, $t);
+                    if ti == INVALID_TARGET {
+                        self.park_wild(pri, t);
+                        continue 'outer;
+                    }
+                    idx = ti;
+                    cur_pc = t;
+                };
+            }
+            // Jump through a register-held address.
+            macro_rules! jump_to {
+                ($t:expr) => {
+                    let t: u32 = $t;
+                    match dec.try_idx(t) {
+                        Some(ti) => {
+                            idx = ti;
+                            cur_pc = t;
+                        }
+                        None => {
+                            self.park_wild(pri, t);
+                            continue 'outer;
                         }
                     }
                 };
@@ -1029,16 +628,13 @@ impl<'c> Machine<'c> {
                         let bv = self.regs[p][*b as usize & 15].as_i64();
                         if matches!(op, AluOp::Div | AluOp::Rem) {
                             // Flush first so a divide-by-zero panic leaves
-                            // the delivered stream exactly as baseline.
+                            // the delivered stream and the pc complete.
                             flush_incl!(cur_pc);
                             self.set_pc(pri, cur_pc);
-                            self.regs[p][*d as usize & 15] =
-                                Word::from_i64(eval_alu(*op, av, bv, cur_pc));
                         } else {
-                            self.regs[p][*d as usize & 15] =
-                                Word::from_i64(eval_alu(*op, av, bv, cur_pc));
                             pend += 1;
                         }
+                        self.regs[p][*d as usize & 15] = Word::from_i64(op.eval(av, bv, cur_pc));
                         idx += 1;
                         cur_pc += 4;
                     }
@@ -1048,13 +644,10 @@ impl<'c> Machine<'c> {
                         if matches!(op, AluOp::Div | AluOp::Rem) {
                             flush_incl!(cur_pc);
                             self.set_pc(pri, cur_pc);
-                            self.regs[p][*d as usize & 15] =
-                                Word::from_i64(eval_alu(*op, av, *imm, cur_pc));
                         } else {
-                            self.regs[p][*d as usize & 15] =
-                                Word::from_i64(eval_alu(*op, av, *imm, cur_pc));
                             pend += 1;
                         }
+                        self.regs[p][*d as usize & 15] = Word::from_i64(op.eval(av, *imm, cur_pc));
                         idx += 1;
                         cur_pc += 4;
                     }
@@ -1062,7 +655,7 @@ impl<'c> Machine<'c> {
                         charge!(cur_pc);
                         let av = self.regs[p][*a as usize & 15];
                         let bv = self.regs[p][*b as usize & 15];
-                        self.regs[p][*d as usize & 15] = eval_falu(*op, av, bv);
+                        self.regs[p][*d as usize & 15] = op.eval(av, bv);
                         pend += 1;
                         idx += 1;
                         cur_pc += 4;
@@ -1070,8 +663,7 @@ impl<'c> Machine<'c> {
                     DOp::Ld { d, base, off } => {
                         charge!(cur_pc);
                         flush_incl!(cur_pc);
-                        let addr = offset_addr(self.regs[p][*base as usize & 15].as_addr(), *off)
-                            & self.cfg.addr_mask;
+                        let addr = self.masked(p, *base, *off);
                         hooks.access(Access::read(addr));
                         self.regs[p][*d as usize & 15] = self.mem.read(addr);
                         idx += 1;
@@ -1088,8 +680,7 @@ impl<'c> Machine<'c> {
                     DOp::St { s, base, off } => {
                         charge!(cur_pc);
                         flush_incl!(cur_pc);
-                        let addr = offset_addr(self.regs[p][*base as usize & 15].as_addr(), *off)
-                            & self.cfg.addr_mask;
+                        let addr = self.masked(p, *base, *off);
                         hooks.access(Access::write(addr));
                         self.mem.write(addr, self.regs[p][*s as usize & 15]);
                         idx += 1;
@@ -1132,23 +723,13 @@ impl<'c> Machine<'c> {
                     DOp::Br { ti, t } => {
                         charge!(cur_pc);
                         flush_incl!(cur_pc);
-                        if *ti == INVALID_TARGET {
-                            self.set_pc(pri, *t);
-                            dec.wild_jump(*t);
-                        }
-                        idx = *ti;
-                        cur_pc = *t;
+                        jump!(*ti, *t);
                     }
                     DOp::Bz { c, ti, t } => {
                         charge!(cur_pc);
                         if !self.regs[p][*c as usize & 15].as_bool() {
                             flush_incl!(cur_pc);
-                            if *ti == INVALID_TARGET {
-                                self.set_pc(pri, *t);
-                                dec.wild_jump(*t);
-                            }
-                            idx = *ti;
-                            cur_pc = *t;
+                            jump!(*ti, *t);
                         } else {
                             pend += 1;
                             idx += 1;
@@ -1159,12 +740,7 @@ impl<'c> Machine<'c> {
                         charge!(cur_pc);
                         if self.regs[p][*c as usize & 15].as_bool() {
                             flush_incl!(cur_pc);
-                            if *ti == INVALID_TARGET {
-                                self.set_pc(pri, *t);
-                                dec.wild_jump(*t);
-                            }
-                            idx = *ti;
-                            cur_pc = *t;
+                            jump!(*ti, *t);
                         } else {
                             pend += 1;
                             idx += 1;
@@ -1174,78 +750,60 @@ impl<'c> Machine<'c> {
                     DOp::Jr { s } => {
                         charge!(cur_pc);
                         flush_incl!(cur_pc);
-                        let t = self.regs[p][*s as usize & 15].as_addr();
-                        match dec.try_idx(t) {
-                            Some(i) => {
-                                idx = i;
-                                cur_pc = t;
-                            }
-                            None => {
-                                self.set_pc(pri, t);
-                                dec.wild_jump(t);
-                            }
-                        }
+                        jump_to!(self.regs[p][*s as usize & 15].as_addr());
                     }
                     DOp::Call { ti, t } => {
                         charge!(cur_pc);
                         flush_incl!(cur_pc);
                         self.regs[p][Reg::LINK.index()] = Word::from_addr(cur_pc + 4);
-                        if *ti == INVALID_TARGET {
-                            self.set_pc(pri, *t);
-                            dec.wild_jump(*t);
-                        }
-                        idx = *ti;
-                        cur_pc = *t;
+                        jump!(*ti, *t);
                     }
                     DOp::Ret => {
                         charge!(cur_pc);
                         flush_incl!(cur_pc);
-                        let t = self.regs[p][Reg::LINK.index()].as_addr();
-                        match dec.try_idx(t) {
-                            Some(i) => {
-                                idx = i;
-                                cur_pc = t;
-                            }
-                            None => {
-                                self.set_pc(pri, t);
-                                dec.wild_jump(t);
-                            }
-                        }
+                        jump_to!(self.regs[p][Reg::LINK.index()].as_addr());
                     }
                     DOp::Send { pri: target, sid } => {
-                        // Single node: the loopback port routes every
-                        // message locally, so no Busy rewind can occur.
-                        let mut buf = std::mem::take(&mut self.send_buf);
-                        buf.clear();
+                        // Sends resolve and route *before* the instruction
+                        // is charged: a busy port means it has not
+                        // happened yet and will retry verbatim.
+                        if self.instructions >= stop {
+                            self.park(hooks, pri, cur_pc, pend);
+                            return Ok(Step::Ran);
+                        }
+                        self.send_buf.clear();
                         for s in dec.send_srcs(*sid) {
-                            buf.push(match s {
+                            self.send_buf.push(match s {
                                 DSendSrc::Reg(r) => self.regs[p][*r as usize & 15],
                                 DSendSrc::Imm(w) => *w,
                             });
                         }
-                        self.instructions += 1;
-                        self.instructions_by_pri[p] += 1;
-                        if self.instructions > self.cfg.fuel {
-                            self.send_buf = buf;
-                            pend += 1;
-                            hooks.fetch_run(pri, cur_pc - (pend - 1) * 4, pend);
-                            self.set_pc(pri, cur_pc);
-                            return Err(RunError::FuelExhausted);
+                        let outcome = net.route(*target, &self.send_buf);
+                        if outcome == RouteOutcome::Busy {
+                            self.park(hooks, pri, cur_pc, pend);
+                            return Ok(Step::Blocked);
                         }
+                        charge!(cur_pc);
                         flush_incl!(cur_pc);
-                        let res = self.enqueue_words(*target, &buf, hooks);
-                        let words = buf.len() as u64;
-                        self.send_buf = buf;
-                        if let Err(e) = res {
-                            self.set_pc(pri, cur_pc);
-                            return Err(e);
+                        if outcome == RouteOutcome::Local {
+                            let res = Self::enqueue_words(
+                                &mut self.queues,
+                                &mut self.mem,
+                                *target,
+                                &self.send_buf,
+                                hooks,
+                            );
+                            if let Err(e) = res {
+                                self.set_pc(pri, cur_pc);
+                                return Err(e);
+                            }
                         }
                         self.sends += 1;
-                        self.send_words += words;
-                        self.set_pc(pri, cur_pc + 4);
+                        self.send_words += self.send_buf.len() as u64;
                         if *target == Priority::High {
                             // New high-priority work: re-run the outer
                             // preemption/dispatch check.
+                            self.set_pc(pri, cur_pc + 4);
                             continue 'outer;
                         }
                         // A low send cannot change the preemption decision
@@ -1268,14 +826,14 @@ impl<'c> Machine<'c> {
                     DOp::EnableInt => {
                         charge!(cur_pc);
                         self.ints_enabled = true;
-                        pend += 1;
                         if self.high_pc.is_none() && !self.queues[Priority::High.index()].is_empty()
                         {
                             // Preemption just became possible.
-                            hooks.fetch_run(pri, cur_pc - (pend - 1) * 4, pend);
+                            flush_incl!(cur_pc);
                             self.set_pc(pri, cur_pc + 4);
                             continue 'outer;
                         }
+                        pend += 1;
                         idx += 1;
                         cur_pc += 4;
                     }
@@ -1290,10 +848,18 @@ impl<'c> Machine<'c> {
                         charge!(cur_pc);
                         flush_incl!(cur_pc);
                         self.set_pc(pri, cur_pc);
-                        return Ok(self.finish(HaltReason::Explicit));
+                        return Ok(Step::Halted(HaltReason::Explicit));
                     }
                     DOp::Mark(m) => {
-                        flush_before!();
+                        if self.instructions >= stop {
+                            self.park(hooks, pri, cur_pc, pend);
+                            return Ok(Step::Ran);
+                        }
+                        // Marks emit no fetch, so a batch ends before one.
+                        if pend > 0 {
+                            hooks.fetch_run(pri, cur_pc - pend * 4, pend);
+                            pend = 0;
+                        }
                         let frame = self.regs[p][Reg::FP.index()].bits() as u32;
                         hooks.queue_sample([
                             self.queues[0].used_words(),
@@ -1302,8 +868,9 @@ impl<'c> Machine<'c> {
                         hooks.mark(*m, frame, pri);
                         idx += 1;
                         cur_pc += 4;
-                        // The pending run restarts after the mark; marks
-                        // emit no fetch so the batch cannot span one.
+                        // Free: the budget check below counts only costed
+                        // instructions.
+                        continue;
                     }
                     DOp::CmpBr {
                         op,
@@ -1317,25 +884,14 @@ impl<'c> Machine<'c> {
                         // ALU half.
                         charge!(cur_pc);
                         let av = self.regs[p][*a as usize & 15].as_i64();
-                        let bv = match b {
-                            DOperand::Reg(r) => self.regs[p][*r as usize & 15].as_i64(),
-                            DOperand::Imm(v) => *v,
-                        };
-                        self.regs[p][*d as usize & 15] =
-                            Word::from_i64(eval_alu(*op, av, bv, cur_pc));
+                        let bv = self.operand(p, b);
+                        self.regs[p][*d as usize & 15] = Word::from_i64(op.eval(av, bv, cur_pc));
                         pend += 1;
                         // Branch half at cur_pc + 4.
-                        charge!(cur_pc + 4);
+                        charge_second!(cur_pc + 4);
                         if self.regs[p][*d as usize & 15].as_bool() == *bnz {
-                            pend += 1;
-                            hooks.fetch_run(pri, (cur_pc + 4) - (pend - 1) * 4, pend);
-                            pend = 0;
-                            if *ti == INVALID_TARGET {
-                                self.set_pc(pri, *t);
-                                dec.wild_jump(*t);
-                            }
-                            idx = *ti;
-                            cur_pc = *t;
+                            flush_incl!(cur_pc + 4);
+                            jump!(*ti, *t);
                         } else {
                             pend += 1;
                             idx += 2;
@@ -1354,19 +910,15 @@ impl<'c> Machine<'c> {
                         // Load half.
                         charge!(cur_pc);
                         flush_incl!(cur_pc);
-                        let addr = offset_addr(self.regs[p][*base as usize & 15].as_addr(), *off)
-                            & self.cfg.addr_mask;
+                        let addr = self.masked(p, *base, *off);
                         hooks.access(Access::read(addr));
                         self.regs[p][*ld_d as usize & 15] = self.mem.read(addr);
                         // ALU half at cur_pc + 4 (never Div/Rem).
-                        charge!(cur_pc + 4);
+                        charge_second!(cur_pc + 4);
                         let av = self.regs[p][*a as usize & 15].as_i64();
-                        let bv = match b {
-                            DOperand::Reg(r) => self.regs[p][*r as usize & 15].as_i64(),
-                            DOperand::Imm(v) => *v,
-                        };
+                        let bv = self.operand(p, b);
                         self.regs[p][*d as usize & 15] =
-                            Word::from_i64(eval_alu(*op, av, bv, cur_pc + 4));
+                            Word::from_i64(op.eval(av, bv, cur_pc + 4));
                         pend += 1;
                         idx += 2;
                         cur_pc += 8;
@@ -1377,22 +929,91 @@ impl<'c> Machine<'c> {
                         self.regs[p][*d as usize & 15] = *v;
                         pend += 1;
                         // Store half at cur_pc + 4.
-                        charge!(cur_pc + 4);
+                        charge_second!(cur_pc + 4);
                         flush_incl!(cur_pc + 4);
-                        let addr = offset_addr(self.regs[p][*base as usize & 15].as_addr(), *off)
-                            & self.cfg.addr_mask;
+                        let addr = self.masked(p, *base, *off);
                         hooks.access(Access::write(addr));
                         self.mem.write(addr, self.regs[p][*d as usize & 15]);
                         idx += 2;
                         cur_pc += 8;
                     }
                     DOp::Wild { addr, .. } => {
-                        flush_before!();
-                        self.set_pc(pri, *addr);
-                        dec.wild_jump(*addr);
+                        // Sequential fall-through past a region end: park
+                        // on the guard's address; the outer loop's lookup
+                        // panics on it, once the budget allows.
+                        if pend > 0 {
+                            hooks.fetch_run(pri, cur_pc - pend * 4, pend);
+                        }
+                        self.park_wild(pri, *addr);
+                        continue 'outer;
                     }
                 }
+                // A costed instruction just ran (a fused pair's second
+                // half stops at its own charge).
+                if ONE {
+                    self.park(hooks, pri, cur_pc, pend);
+                    return Ok(Step::Ran);
+                }
             }
+        }
+    }
+
+    /// The costed instruction at `at` found the call's limit reached, with
+    /// the `pend` instructions before it still unflushed. With the budget
+    /// (ending at `stop`) spent, it is left for the next call; otherwise
+    /// the fuel is, and it is charged, fetched and ticked, but has no
+    /// effect, and the run fails. Either way the pc parks on it.
+    #[cold]
+    #[inline(never)]
+    fn limit_reached<H: Hooks>(
+        &mut self,
+        hooks: &mut H,
+        pri: Priority,
+        at: u32,
+        pend: u32,
+        stop: u64,
+    ) -> Result<Step, RunError> {
+        if self.instructions >= stop {
+            self.park(hooks, pri, at, pend);
+            return Ok(Step::Ran);
+        }
+        self.instructions += 1;
+        self.instructions_by_pri[pri.index()] += 1;
+        hooks.fetch_run(pri, at - pend * 4, pend + 1);
+        self.set_pc(pri, at);
+        Err(RunError::FuelExhausted)
+    }
+
+    /// Park the pc on a target outside the image; the executor's outer
+    /// loop panics on it.
+    #[cold]
+    fn park_wild(&mut self, pri: Priority, t: u32) {
+        self.set_pc(pri, t);
+    }
+
+    /// Flush the `pend` pending fetches that end just before `at`, and
+    /// park the pc on `at`.
+    #[inline]
+    fn park<H: Hooks>(&mut self, hooks: &mut H, pri: Priority, at: u32, pend: u32) {
+        if pend > 0 {
+            hooks.fetch_run(pri, at - pend * 4, pend);
+        }
+        self.set_pc(pri, at);
+    }
+
+    /// A register-relative data address, masked to the local node.
+    #[inline]
+    fn masked(&self, p: usize, base: u8, off: i32) -> u32 {
+        let base = self.regs[p][base as usize & 15].as_addr();
+        (base as i64 + off as i64) as u32 & self.cfg.addr_mask
+    }
+
+    /// The value of a fused op's second ALU operand.
+    #[inline]
+    fn operand(&self, p: usize, b: &DOperand) -> i64 {
+        match b {
+            DOperand::Reg(r) => self.regs[p][*r as usize & 15].as_i64(),
+            DOperand::Imm(v) => *v,
         }
     }
 
@@ -1426,9 +1047,8 @@ impl<'c> Machine<'c> {
     /// answer may be a false positive (pc chains out of the image — real
     /// execution would panic; a concurrent driver must reproduce that
     /// panic deterministically too, so it treats "might halt" as "run
-    /// this machine serially") but never a false negative. Identical for
-    /// the baseline and pre-decoded interpreters: both read the same pc
-    /// stream and neither fuses `Halt`.
+    /// this machine serially") but never a false negative: the executor
+    /// never fuses `Halt`.
     pub fn might_halt(&self, halts: &HaltSet) -> bool {
         if let Some(pc) = self.high_pc {
             return halts.reaches_halt(pc);
@@ -1514,63 +1134,12 @@ impl HaltSet {
     }
 }
 
-#[inline]
-fn offset_addr(base: u32, off: i32) -> u32 {
-    (base as i64 + off as i64) as u32
-}
-
-fn eval_alu(op: AluOp, a: i64, b: i64, pc: u32) -> i64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => {
-            assert!(b != 0, "division by zero at pc {pc:#x}");
-            a.wrapping_div(b)
-        }
-        AluOp::Rem => {
-            assert!(b != 0, "remainder by zero at pc {pc:#x}");
-            a.wrapping_rem(b)
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a.wrapping_shl(b as u32),
-        AluOp::Shr => a.wrapping_shr(b as u32),
-        AluOp::Eq => (a == b) as i64,
-        AluOp::Ne => (a != b) as i64,
-        AluOp::Lt => (a < b) as i64,
-        AluOp::Le => (a <= b) as i64,
-        AluOp::Gt => (a > b) as i64,
-        AluOp::Ge => (a >= b) as i64,
-        AluOp::Min => a.min(b),
-        AluOp::Max => a.max(b),
-    }
-}
-
-fn eval_falu(op: FAluOp, a: Word, b: Word) -> Word {
-    match op {
-        FAluOp::FAdd => Word::from_f64(a.as_f64() + b.as_f64()),
-        FAluOp::FSub => Word::from_f64(a.as_f64() - b.as_f64()),
-        FAluOp::FMul => Word::from_f64(a.as_f64() * b.as_f64()),
-        FAluOp::FDiv => Word::from_f64(a.as_f64() / b.as_f64()),
-        FAluOp::FLt => Word::from_bool(a.as_f64() < b.as_f64()),
-        FAluOp::FLe => Word::from_bool(a.as_f64() <= b.as_f64()),
-        FAluOp::FEq => Word::from_bool(a.as_f64() == b.as_f64()),
-        FAluOp::ItoF => Word::from_f64(a.as_i64() as f64),
-        FAluOp::FtoI => Word::from_i64(a.as_f64() as i64),
-        FAluOp::FNeg => Word::from_f64(-a.as_f64()),
-        FAluOp::FAbs => Word::from_f64(a.as_f64().abs()),
-        FAluOp::FMin => Word::from_f64(a.as_f64().min(b.as_f64())),
-        FAluOp::FMax => Word::from_f64(a.as_f64().max(b.as_f64())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hooks::{NoHooks, SinkHooks};
     use crate::Mark;
+    use crate::{Operand, SendSrc};
     use tamsim_trace::{AccessKind, VecSink};
 
     fn map() -> MemoryMap {
@@ -1589,7 +1158,8 @@ mod tests {
 
     fn run_user(ops: Vec<MOp>) -> (RunStats, Vec<tamsim_trace::Access>) {
         let (img, entry) = user_image(ops);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let mut hooks = SinkHooks(VecSink::new());
         let stats = m.run(&mut hooks).expect("run failed");
@@ -1615,7 +1185,8 @@ mod tests {
             },
             MOp::Halt,
         ]);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let stats = m.run(&mut NoHooks).unwrap();
         assert_eq!(stats.instructions, 4);
@@ -1711,7 +1282,8 @@ mod tests {
             },
             /* 5 */ MOp::Halt,
         ]);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         m.run(&mut NoHooks).unwrap();
         assert_eq!(m.reg(Priority::Low, Reg(0)).as_i64(), 15);
@@ -1735,7 +1307,8 @@ mod tests {
             },
             /* 4 */ MOp::Ret,
         ]);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let stats = m.run(&mut NoHooks).unwrap();
         assert_eq!(m.reg(Priority::Low, Reg(0)).as_i64(), 1);
@@ -1760,7 +1333,8 @@ mod tests {
             off: 0,
         });
         img.push_user(MOp::Suspend);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.inject(
             Priority::Low,
             &[Word::from_addr(handler), Word::from_i64(17)],
@@ -1818,7 +1392,8 @@ mod tests {
             },
         );
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.inject(Priority::Low, &[Word::from_addr(a)]).unwrap();
         let stats = m.run(&mut NoHooks).unwrap();
         assert_eq!(stats.halt, HaltReason::Explicit);
@@ -1859,7 +1434,8 @@ mod tests {
 
         let cfg = MachineConfig::default();
         let hq_base = cfg.sys_layout().high_queue_base;
-        let mut m = Machine::new(cfg, &img2);
+        let dec = DecodedImage::decode(&img2);
+        let mut m = Machine::new(cfg, &dec);
         m.start_low(entry2);
         let mut hooks = SinkHooks(VecSink::new());
         m.run(&mut hooks).unwrap();
@@ -1910,7 +1486,8 @@ mod tests {
         });
         img.push_user(MOp::Halt);
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let stats = m.run(&mut NoHooks).unwrap();
         assert_eq!(stats.preemptions, 1);
@@ -1969,7 +1546,8 @@ mod tests {
         });
         img.push_user(MOp::Halt);
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let stats = m.run(&mut NoHooks).unwrap();
         assert_eq!(
@@ -2030,7 +1608,8 @@ mod tests {
         });
         img.push_user(MOp::Suspend);
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.inject(Priority::Low, &[Word::from_addr(entry)]).unwrap();
         m.run(&mut NoHooks).unwrap();
         // Handler 2 ran after the first task, overwriting 1 with 2.
@@ -2056,7 +1635,8 @@ mod tests {
             queue_words: [8, 8],
             ..Default::default()
         };
-        let mut m = Machine::new(cfg, &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(cfg, &dec);
         m.start_low(entry);
         assert_eq!(
             m.run(&mut NoHooks),
@@ -2075,7 +1655,8 @@ mod tests {
             fuel: 100,
             ..Default::default()
         };
-        let mut m = Machine::new(cfg, &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(cfg, &dec);
         m.start_low(entry);
         assert_eq!(m.run(&mut NoHooks), Err(RunError::FuelExhausted));
     }
@@ -2103,7 +1684,8 @@ mod tests {
             thread: 1,
         }));
         img.push_user(MOp::Halt);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let mut h = MarkHook { marks: vec![] };
         let stats = m.run(&mut h).unwrap();
@@ -2168,7 +1750,8 @@ mod tests {
         });
         img.push_user(MOp::Halt);
 
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.inject(Priority::Low, &[Word::from_addr(lo)]).unwrap();
         m.inject(Priority::High, &[Word::from_addr(h)]).unwrap();
         m.inject(Priority::High, &[Word::from_addr(h)]).unwrap();
@@ -2220,7 +1803,8 @@ mod tests {
             queue_words: [8, 8],
             ..Default::default()
         };
-        let mut m = Machine::new(cfg, &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(cfg, &dec);
         m.start_low(entry);
         assert_eq!(
             m.run(&mut NoHooks),
@@ -2262,7 +1846,8 @@ mod tests {
             },
             MOp::Halt,
         ]);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let mut hooks = SinkHooks(VecSink::new());
         let mut port = FlakyPort {
@@ -2312,7 +1897,8 @@ mod tests {
             },
             MOp::Halt,
         ]);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let mut hooks = SinkHooks(VecSink::new());
         let mut port = InjectAll;
@@ -2339,7 +1925,8 @@ mod tests {
             queue_words: [8, 8],
             ..Default::default()
         };
-        let mut m = Machine::new(cfg, &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(cfg, &dec);
         let msg = [Word::from_addr(handler), Word::ZERO, Word::ZERO, Word::ZERO];
         let mut hooks = SinkHooks(VecSink::new());
         assert!(m.try_deliver(Priority::Low, &msg, &mut hooks));
@@ -2386,7 +1973,8 @@ mod tests {
             addr_mask: (1 << 23) - 1,
             ..Default::default()
         };
-        let mut m = Machine::new(cfg, &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(cfg, &dec);
         m.start_low(entry);
         let mut hooks = SinkHooks(VecSink::new());
         m.run(&mut hooks).unwrap();
@@ -2427,7 +2015,8 @@ mod tests {
             b: Operand::Imm(1),
         });
         img.push_user(MOp::Halt);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         m.run(&mut NoHooks).unwrap();
         // Separate register files: low r0 == 2, high r0 == 7.
@@ -2435,54 +2024,124 @@ mod tests {
         assert_eq!(m.reg(Priority::High, Reg(0)).as_i64(), 7);
     }
 
-    // ---- decoded dispatch equivalence -----------------------------------
-
-    use crate::decode::DecodedImage;
-    use tamsim_trace::{MarkLog, Tee};
-
-    /// Run `img` twice — baseline and decoded — with identical setup and
-    /// full-stream recording hooks, and assert the runs are bit-identical:
-    /// stats, every access event in order, every mark record, and the
-    /// per-priority cycle counters.
-    fn assert_decoded_matches(
-        img: &CodeImage,
-        setup: impl Fn(&mut Machine),
-    ) -> (RunStats, Vec<Access>) {
-        let mut base = Machine::new(MachineConfig::default(), img);
-        setup(&mut base);
-        let mut bh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
-        let bstats = base.run_baseline(&mut bh).expect("baseline run failed");
-
-        let dec = DecodedImage::decode(img);
-        let mut m = Machine::new(MachineConfig::default(), img);
-        m.attach_decoded(&dec);
-        setup(&mut m);
-        let mut dh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
-        let dstats = m.run(&mut dh).expect("decoded run failed");
-
-        assert_eq!(dstats, bstats, "run stats diverge");
-        assert_eq!(dh.0.a.events, bh.0.a.events, "access streams diverge");
-        assert_eq!(dh.0.b.records, bh.0.b.records, "mark records diverge");
-        assert_eq!(dh.0.b.cycles, bh.0.b.cycles, "cycle counters diverge");
-        for p in [Priority::Low, Priority::High] {
-            for r in 0..Reg::COUNT {
-                assert_eq!(
-                    m.reg(p, Reg(r as u8)),
-                    base.reg(p, Reg(r as u8)),
-                    "register {p:?}/r{r} diverges"
-                );
-            }
-        }
-        (dstats, dh.0.a.events)
+    #[test]
+    fn decoded_step_blocked_send_rewinds_like_baseline() {
+        let (img, entry) = user_image(vec![
+            MOp::MovI {
+                d: Reg(0),
+                v: Word::from_i64(0x55),
+            },
+            MOp::Send {
+                pri: Priority::Low,
+                srcs: vec![SendSrc::Reg(Reg(0)), SendSrc::Imm(Word::from_i64(7))],
+            },
+            MOp::Halt,
+        ]);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
+        m.start_low(entry);
+        let mut hooks = SinkHooks(VecSink::new());
+        let mut port = FlakyPort {
+            busy: 2,
+            offered: vec![],
+        };
+        assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Ran);
+        let events_before = hooks.0.events.len();
+        assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Blocked);
+        assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Blocked);
+        assert_eq!(hooks.0.events.len(), events_before);
+        assert_eq!(m.stats(HaltReason::Quiescent).sends, 0);
+        assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Ran);
+        assert_eq!(port.offered.len(), 3);
+        assert_eq!(port.offered[0], port.offered[2]);
+        assert_eq!(m.stats(HaltReason::Quiescent).sends, 1);
     }
 
     #[test]
-    fn decoded_run_matches_baseline_on_a_fusing_loop() {
-        // Exercises every fusion rule: MovI+St, Ld+Alu, Alu+Bnz, plus a
-        // mark inside the loop so batches break mid-stream.
+    fn decoded_step_executes_fused_pairs_one_instruction_at_a_time() {
+        // In step mode a fused cmp+branch costs two steps — the mesh's
+        // global clock must see the cycle count of the unfused pair.
+        let ub = map().user_code_base;
+        let ops = vec![
+            /* 0 */
+            MOp::MovI {
+                d: Reg(1),
+                v: Word::from_i64(3),
+            },
+            /* 1: fuses with 2 */
+            MOp::Alu {
+                op: AluOp::Gt,
+                d: Reg(0),
+                a: Reg(1),
+                b: Operand::Imm(0),
+            },
+            /* 2 */
+            MOp::Bnz {
+                c: Reg(0),
+                t: ub + 4 * 4,
+            },
+            /* 3 */ MOp::Halt,
+            /* 4 */ MOp::Halt,
+        ];
+        let (img, entry) = user_image(ops);
+        let dec = DecodedImage::decode(&img);
+        assert!(dec.fused_count() > 0, "the pair fused");
+        let mut m = Machine::new(MachineConfig::default(), &dec);
+        m.start_low(entry);
+        let mut hooks = SinkHooks(VecSink::new());
+        assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran); // MovI
+        assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran); // Alu half
+        assert_eq!(m.reg(Priority::Low, Reg(0)).as_i64(), 1);
+        assert_eq!(
+            m.stats(HaltReason::Quiescent).instructions,
+            2,
+            "fused pair charges one instruction per step"
+        );
+        assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran); // Bnz half
+                                                                           // The branch target is slot 4 (the second halt).
+        assert_eq!(
+            m.step(&mut hooks, &mut Loopback).unwrap(),
+            Step::Halted(HaltReason::Explicit)
+        );
+        let fetches: Vec<u32> = hooks
+            .0
+            .events
+            .iter()
+            .filter(|a| a.kind == AccessKind::Fetch)
+            .map(|a| a.addr)
+            .collect();
+        assert_eq!(fetches, vec![ub, ub + 4, ub + 8, ub + 16]);
+    }
+
+    #[test]
+    fn decoded_wild_jump_panics_with_baseline_message() {
+        let (img, entry) = user_image(vec![MOp::Br {
+            t: map().user_code_base + 0x400,
+        }]);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
+        m.start_low(entry);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = m.run(&mut NoHooks);
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("wild jump to") && msg.contains("(user code)"),
+            "got: {msg}"
+        );
+    }
+
+    // ---- budget slicing -----------------------------------------------
+
+    use tamsim_trace::{MarkLog, Tee};
+
+    /// A loop exercising every fusion rule — MovI+St, Ld+Alu, Alu+Bnz —
+    /// with a mark inside it, so batches break mid-stream.
+    fn fusing_loop() -> (CodeImage, u32) {
         let fb = map().frame_base;
         let ub = map().user_code_base;
-        let (img, entry) = user_image(vec![
+        user_image(vec![
             /* 0 */
             MOp::MovI {
                 d: Reg(0),
@@ -2532,16 +2191,12 @@ mod tests {
                 t: ub + 3 * 4,
             },
             /* 9 */ MOp::Halt,
-        ]);
-        let (stats, _) = assert_decoded_matches(&img, |m| m.start_low(entry));
-        assert_eq!(stats.halt, HaltReason::Explicit);
-        assert!(stats.instructions > 100, "the loop actually looped");
+        ])
     }
 
-    #[test]
-    fn decoded_run_matches_baseline_with_preemption_and_enable_int() {
-        // DisableInt / high send / EnableInt: the decoded batch must break
-        // exactly where the baseline re-checks preemption.
+    /// DisableInt / high send / EnableInt: the high handler preempts the
+    /// low code exactly at the enable point.
+    fn deferred_preemption() -> (CodeImage, u32) {
         let fb = map().frame_base;
         let mut img = CodeImage::new(&map());
         let h = img.next_sys();
@@ -2585,13 +2240,13 @@ mod tests {
             off: 0,
         });
         img.push_user(MOp::Halt);
-        let (stats, _) = assert_decoded_matches(&img, |m| m.start_low(entry));
-        assert_eq!(stats.preemptions, 1);
+        (img, entry)
     }
 
-    #[test]
-    fn decoded_run_matches_baseline_on_message_chains() {
-        // Send/dispatch/suspend chains and LdMsg queue reads.
+    /// A send–dispatch–suspend chain: task A sends handler B a word and
+    /// suspends; B reads it from the queue, doubles it into the frame and
+    /// halts. Returns A's address, to be injected as a low message.
+    fn message_chain() -> (CodeImage, u32) {
         let fb = map().frame_base;
         let mut img = CodeImage::new(&map());
         let a = img.next_user();
@@ -2633,166 +2288,112 @@ mod tests {
                 v: Word::from_addr(b),
             },
         );
-        let (stats, events) = assert_decoded_matches(&img, |m| {
-            m.inject(Priority::Low, &[Word::from_addr(a)]).unwrap()
+        (img, a)
+    }
+
+    /// Run `dec` once with [`Machine::run`], then again as a loop of
+    /// `exec` calls at budgets 1, 2, 3 and 5 and as a loop of
+    /// [`Machine::step`], and require the same outcome, access stream,
+    /// mark records, cycle counters, machine counters and registers.
+    /// Every call that returns `Ran` must have charged exactly its budget.
+    fn assert_slices_match_run(
+        dec: &DecodedImage,
+        cfg: MachineConfig,
+        setup: impl Fn(&mut Machine),
+    ) {
+        let mut whole = Machine::new(cfg, dec);
+        setup(&mut whole);
+        let mut wh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
+        let want = whole.run(&mut wh);
+
+        for (budget, one) in [(1, true), (1, false), (2, false), (3, false), (5, false)] {
+            let ctx = format!("budget {budget}{}", if one { " (step)" } else { "" });
+            let mut m = Machine::new(cfg, dec);
+            setup(&mut m);
+            let mut sh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
+            let got = loop {
+                let before = m.instructions;
+                let step = if one {
+                    m.step(&mut sh, &mut Loopback)
+                } else {
+                    m.exec::<false, _, _>(&mut sh, &mut Loopback, budget)
+                };
+                match step {
+                    Ok(Step::Ran) => assert_eq!(m.instructions - before, budget, "{ctx}"),
+                    Ok(Step::Idle) => break Ok(m.stats(HaltReason::Quiescent)),
+                    Ok(Step::Halted(reason)) => break Ok(m.stats(reason)),
+                    Ok(Step::Blocked) => unreachable!("loopback never blocks"),
+                    Err(e) => break Err(e),
+                }
+            };
+            assert_eq!(got, want, "{ctx}: outcome");
+            assert_eq!(
+                m.stats(HaltReason::Quiescent),
+                whole.stats(HaltReason::Quiescent),
+                "{ctx}: counters"
+            );
+            assert_eq!(sh.0.a.events, wh.0.a.events, "{ctx}: access stream");
+            assert_eq!(sh.0.b.records, wh.0.b.records, "{ctx}: mark records");
+            assert_eq!(sh.0.b.cycles, wh.0.b.cycles, "{ctx}: cycle counters");
+            for p in [Priority::Low, Priority::High] {
+                assert_eq!(m.context_pc(p), whole.context_pc(p), "{ctx}: {p:?} pc");
+                for r in 0..Reg::COUNT as u8 {
+                    assert_eq!(m.reg(p, Reg(r)), whole.reg(p, Reg(r)), "{ctx}: {p:?}/r{r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exec_slices_reproduce_run_at_every_budget() {
+        let (fusing, fusing_entry) = fusing_loop();
+        let (preempt, preempt_entry) = deferred_preemption();
+        let (chain, chain_task) = message_chain();
+        let fusing = DecodedImage::decode(&fusing);
+        let preempt = DecodedImage::decode(&preempt);
+        let chain = DecodedImage::decode(&chain);
+        let cfg = MachineConfig::default();
+        assert_slices_match_run(&fusing, cfg, |m| m.start_low(fusing_entry));
+        assert_slices_match_run(&preempt, cfg, |m| m.start_low(preempt_entry));
+        assert_slices_match_run(&chain, cfg, |m| {
+            m.inject(Priority::Low, &[Word::from_addr(chain_task)])
+                .unwrap()
         });
-        assert_eq!(stats.sends, 1);
-        assert_eq!(stats.dispatches, [2, 0]);
-        assert!(events.contains(&Access::write(fb)));
+        // Fuel running out mid-loop: every slicing fails at the same
+        // instruction, with the same events, pc and registers.
+        for fuel in [50, 51, 52, 53] {
+            let cfg = MachineConfig { fuel, ..cfg };
+            assert_slices_match_run(&fusing, cfg, |m| m.start_low(fusing_entry));
+        }
     }
 
     #[test]
-    fn decoded_fuel_exhaustion_matches_baseline_mid_batch() {
-        // An infinite straight-line loop; fuel runs out inside a batch.
-        // The decoded path must emit the failing op's fetch, park the pc on
-        // it, and report the same error at the same instruction count.
-        let ub = map().user_code_base;
-        let (img, entry) = user_image(vec![
-            MOp::MovI {
-                d: Reg(0),
-                v: Word::from_i64(1),
-            },
-            MOp::Alu {
-                op: AluOp::Add,
-                d: Reg(0),
-                a: Reg(0),
-                b: Operand::Imm(1),
-            },
-            MOp::Br { t: ub + 4 },
-        ]);
-        let cfg = MachineConfig {
-            fuel: 100,
-            ..Default::default()
-        };
-
-        let mut base = Machine::new(cfg, &img);
-        base.start_low(entry);
-        let mut bh = SinkHooks(VecSink::new());
-        let berr = base.run_baseline(&mut bh).unwrap_err();
-
+    fn exec_splits_a_fused_pair_at_the_budget_boundary() {
+        // Budget 2 from the entry runs the MovI and the MovI half of the
+        // MovI+St pair, then parks on the pair's second slot.
+        let (img, entry) = fusing_loop();
         let dec = DecodedImage::decode(&img);
-        let mut m = Machine::new(cfg, &img);
-        m.attach_decoded(&dec);
-        m.start_low(entry);
-        let mut dh = SinkHooks(VecSink::new());
-        let derr = m.run(&mut dh).unwrap_err();
-
-        assert_eq!(derr, berr);
-        assert_eq!(dh.0.events, bh.0.events);
-        assert_eq!(
-            m.reg(Priority::Low, Reg(0)),
-            base.reg(Priority::Low, Reg(0))
-        );
-    }
-
-    #[test]
-    fn decoded_step_blocked_send_rewinds_like_baseline() {
-        let (img, entry) = user_image(vec![
-            MOp::MovI {
-                d: Reg(0),
-                v: Word::from_i64(0x55),
-            },
-            MOp::Send {
-                pri: Priority::Low,
-                srcs: vec![SendSrc::Reg(Reg(0)), SendSrc::Imm(Word::from_i64(7))],
-            },
-            MOp::Halt,
-        ]);
-        let dec = DecodedImage::decode(&img);
-        let mut m = Machine::new(MachineConfig::default(), &img);
-        m.attach_decoded(&dec);
+        assert!(matches!(dec.op(dec.idx_of(entry + 4)), DOp::MovISt { .. }));
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
         let mut hooks = SinkHooks(VecSink::new());
-        let mut port = FlakyPort {
-            busy: 2,
-            offered: vec![],
-        };
-        assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Ran);
-        let events_before = hooks.0.events.len();
-        assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Blocked);
-        assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Blocked);
-        assert_eq!(hooks.0.events.len(), events_before);
-        assert_eq!(m.stats(HaltReason::Quiescent).sends, 0);
-        assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Ran);
-        assert_eq!(port.offered.len(), 3);
-        assert_eq!(port.offered[0], port.offered[2]);
-        assert_eq!(m.stats(HaltReason::Quiescent).sends, 1);
-    }
-
-    #[test]
-    fn decoded_step_executes_fused_pairs_one_instruction_at_a_time() {
-        // In step mode a fused cmp+branch costs two steps — the mesh's
-        // global clock must see the same cycle count as baseline.
-        let ub = map().user_code_base;
-        let ops = vec![
-            /* 0 */
-            MOp::MovI {
-                d: Reg(1),
-                v: Word::from_i64(3),
-            },
-            /* 1: fuses with 2 */
-            MOp::Alu {
-                op: AluOp::Gt,
-                d: Reg(0),
-                a: Reg(1),
-                b: Operand::Imm(0),
-            },
-            /* 2 */
-            MOp::Bnz {
-                c: Reg(0),
-                t: ub + 4 * 4,
-            },
-            /* 3 */ MOp::Halt,
-            /* 4 */ MOp::Halt,
-        ];
-        let (img, entry) = user_image(ops);
-        let dec = DecodedImage::decode(&img);
-        assert!(dec.fused_count() > 0, "the pair fused");
-        let mut m = Machine::new(MachineConfig::default(), &img);
-        m.attach_decoded(&dec);
-        m.start_low(entry);
-        let mut hooks = SinkHooks(VecSink::new());
-        assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran); // MovI
-        assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran); // Alu half
-        assert_eq!(m.reg(Priority::Low, Reg(0)).as_i64(), 1);
         assert_eq!(
-            m.stats(HaltReason::Quiescent).instructions,
-            2,
-            "fused pair charges one instruction per step"
+            m.exec::<false, _, _>(&mut hooks, &mut Loopback, 2).unwrap(),
+            Step::Ran
         );
-        assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran); // Bnz half
-                                                                           // The branch target is slot 4 (the second halt).
+        assert_eq!(m.context_pc(Priority::Low), Some(entry + 8));
+        assert_eq!(m.reg(Priority::Low, Reg(1)).as_i64(), 40, "first half ran");
         assert_eq!(
-            m.step(&mut hooks, &mut Loopback).unwrap(),
-            Step::Halted(HaltReason::Explicit)
+            hooks.0.events,
+            vec![Access::fetch(entry), Access::fetch(entry + 4)],
+            "the store half has not run"
         );
-        let fetches: Vec<u32> = hooks
-            .0
-            .events
-            .iter()
-            .filter(|a| a.kind == AccessKind::Fetch)
-            .map(|a| a.addr)
-            .collect();
-        assert_eq!(fetches, vec![ub, ub + 4, ub + 8, ub + 16]);
-    }
-
-    #[test]
-    fn decoded_wild_jump_panics_with_baseline_message() {
-        let (img, entry) = user_image(vec![MOp::Br {
-            t: map().user_code_base + 0x400,
-        }]);
-        let dec = DecodedImage::decode(&img);
-        let mut m = Machine::new(MachineConfig::default(), &img);
-        m.attach_decoded(&dec);
-        m.start_low(entry);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = m.run(&mut NoHooks);
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("wild jump to") && msg.contains("(user code)"),
-            "got: {msg}"
+        // The next call starts with the store half.
+        assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran);
+        let fb = map().frame_base;
+        assert_eq!(
+            hooks.0.events[2..],
+            [Access::fetch(entry + 8), Access::write(fb)]
         );
     }
 
@@ -2835,9 +2436,10 @@ mod tests {
         let halts = HaltSet::new(&img);
         let halting = entry;
         let benign = entry + 8;
+        let dec = DecodedImage::decode(&img);
 
         // Idle machine: a step returns Idle, never Halted.
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         assert!(!m.might_halt(&halts));
 
         // Running low context on a benign pc vs. a halting pc.
@@ -2848,29 +2450,29 @@ mod tests {
 
         // A queued low message is consulted only when no context runs:
         // handler word decides.
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.inject(Priority::Low, &[Word::from_addr(benign)]).unwrap();
         assert!(!m.might_halt(&halts));
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.inject(Priority::Low, &[Word::from_addr(halting)])
             .unwrap();
         assert!(m.might_halt(&halts));
 
         // A pending high message preempts an interruptible low context.
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(benign);
         m.inject(Priority::High, &[Word::from_addr(halting)])
             .unwrap();
         assert!(m.might_halt(&halts));
 
         // Verdicts match actual execution.
-        let mut yes = Machine::new(MachineConfig::default(), &img);
+        let mut yes = Machine::new(MachineConfig::default(), &dec);
         yes.start_low(halting);
         assert!(matches!(
             yes.step(&mut NoHooks, &mut Loopback).unwrap(),
             Step::Halted(HaltReason::Explicit)
         ));
-        let mut no = Machine::new(MachineConfig::default(), &img);
+        let mut no = Machine::new(MachineConfig::default(), &dec);
         no.start_low(benign);
         assert!(!matches!(
             no.step(&mut NoHooks, &mut Loopback).unwrap(),
@@ -2885,7 +2487,8 @@ mod tests {
             /* 1: benign low code */ MOp::Suspend,
         ]);
         let halts = HaltSet::new(&img);
-        let mut m = Machine::new(MachineConfig::default(), &img);
+        let dec = DecodedImage::decode(&img);
+        let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry + 4);
         m.inject(Priority::High, &[Word::from_addr(entry)]).unwrap();
         // Interrupts enabled: the high dispatch fires next step.

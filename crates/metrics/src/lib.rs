@@ -7,9 +7,7 @@
 //! recording its access trace, then replays each recording into the
 //! paper's full cache sweep in parallel
 //! (`tamsim_cache::CacheBank::replay_parallel`); every table and figure is
-//! then derived from that single dataset. The legacy streaming collector
-//! ([`SuiteData::collect_inline`]) survives as the baseline that
-//! `tamsim perf` benchmarks the record/replay engine against.
+//! then derived from that single dataset.
 
 pub mod experiments;
 pub mod figures;
@@ -24,9 +22,8 @@ pub mod tables;
 pub use experiments::{capture_schedule, figure1, figure1_program, figure2, SchedEvent};
 pub use figures::{block_sweep, figure3, figure6, figure_per_program};
 pub use mesh::{
-    load_imbalance, mesh_cache_collect, mesh_cache_collect_with_opts, mesh_cache_sweep,
-    mesh_cache_table, mesh_machine_seconds, mesh_machine_seconds_with_opts, mesh_node_table,
-    mesh_parallel_seconds_with_opts, mesh_run, mesh_scaling, mesh_sweep, MeshCachePerf,
+    load_imbalance, mesh_cache_collect, mesh_cache_sweep, mesh_cache_table, mesh_machine_seconds,
+    mesh_node_table, mesh_parallel_seconds, mesh_run, mesh_scaling, mesh_sweep, MeshCachePerf,
     MeshCacheRun, MESH_CACHE_NODE_SWEEP, MESH_NODE_SWEEP, MESH_SCALING_SWEEP, MESH_SCALING_THREADS,
 };
 pub use net::{

@@ -285,21 +285,6 @@ pub fn mesh_cache_collect(
     node_counts: &[u32],
     fast_forward: bool,
 ) -> (Vec<MeshCacheRun>, MeshCachePerf) {
-    mesh_cache_collect_with_opts(
-        programs,
-        node_counts,
-        fast_forward,
-        tamsim_core::LoweringOptions::default(),
-    )
-}
-
-/// [`mesh_cache_collect`] with explicit lowering/simulator options.
-pub fn mesh_cache_collect_with_opts(
-    programs: &[(&str, &Program)],
-    node_counts: &[u32],
-    fast_forward: bool,
-    opts: tamsim_core::LoweringOptions,
-) -> (Vec<MeshCacheRun>, MeshCachePerf) {
     let geometries = paper_sweep();
     let configs = mesh_cache_configs(node_counts);
     let jobs: Vec<(usize, u32, PlacementPolicy, Implementation)> = programs
@@ -316,7 +301,6 @@ pub fn mesh_cache_collect_with_opts(
     let recorded = tamsim_trace::par_map(jobs, move |(pi, n, policy, impl_)| {
         let mut exp = MeshExperiment::new(impl_, n).with_placement(policy);
         exp.fast_forward = fast_forward;
-        exp.opts = opts;
         (pi, exp.run_recorded(programs[pi].1))
     });
     let machine_seconds = t0.elapsed().as_secs_f64();
@@ -360,23 +344,6 @@ pub fn mesh_machine_seconds(
     node_counts: &[u32],
     fast_forward: bool,
 ) -> f64 {
-    mesh_machine_seconds_with_opts(
-        programs,
-        node_counts,
-        fast_forward,
-        tamsim_core::LoweringOptions::default(),
-    )
-}
-
-/// [`mesh_machine_seconds`] with explicit lowering/simulator options —
-/// `tamsim perf --mesh` runs it once per dispatch path to benchmark the
-/// pre-decoded interpreter on multi-node workloads.
-pub fn mesh_machine_seconds_with_opts(
-    programs: &[(&str, &Program)],
-    node_counts: &[u32],
-    fast_forward: bool,
-    opts: tamsim_core::LoweringOptions,
-) -> f64 {
     let configs = mesh_cache_configs(node_counts);
     let jobs: Vec<(usize, u32, PlacementPolicy, Implementation)> = programs
         .iter()
@@ -391,7 +358,6 @@ pub fn mesh_machine_seconds_with_opts(
     let runs = tamsim_trace::par_map(jobs, move |(pi, n, policy, impl_)| {
         let mut exp = MeshExperiment::new(impl_, n).with_placement(policy);
         exp.fast_forward = fast_forward;
-        exp.opts = opts;
         exp.run(programs[pi].1).cycles
     });
     let seconds = t0.elapsed().as_secs_f64();
@@ -409,19 +375,17 @@ pub fn mesh_machine_seconds_with_opts(
 /// this is a driver benchmark, not a cache study, so one implementation
 /// and one placement policy suffice; the full matrix would only multiply
 /// the wall time without changing the speedup ratio.
-pub fn mesh_parallel_seconds_with_opts(
+pub fn mesh_parallel_seconds(
     programs: &[(&str, &Program)],
     node_counts: &[u32],
     threads: u32,
-    opts: tamsim_core::LoweringOptions,
 ) -> f64 {
     let t0 = Instant::now();
     for (_, program) in programs {
         for &n in node_counts {
-            let mut exp = MeshExperiment::new(Implementation::Md, n)
+            let exp = MeshExperiment::new(Implementation::Md, n)
                 .with_placement(PlacementPolicy::RoundRobin)
                 .with_threads(threads);
-            exp.opts = opts;
             assert!(exp.run(program).cycles > 0);
         }
     }

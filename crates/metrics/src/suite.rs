@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use tamsim_cache::{CacheBank, CacheGeometry, CacheSummary, CycleModel};
-use tamsim_core::{Experiment, Implementation, LoweringOptions, RecordedRun, RunResult};
+use tamsim_core::{Experiment, Implementation, RecordedRun, RunResult};
 use tamsim_programs::PaperBenchmark;
 
 /// One traced run of one program under one implementation.
@@ -93,17 +93,6 @@ impl SuiteData {
         impls: &[Implementation],
         geometries: Vec<CacheGeometry>,
     ) -> (SuiteData, SuitePerf) {
-        Self::collect_timed_with_opts(suite, impls, geometries, LoweringOptions::default())
-    }
-
-    /// [`SuiteData::collect_timed`] with explicit lowering/simulator
-    /// options (e.g. `predecode: false` for `tamsim perf --no-predecode`).
-    pub fn collect_timed_with_opts(
-        suite: Vec<PaperBenchmark>,
-        impls: &[Implementation],
-        geometries: Vec<CacheGeometry>,
-        opts: LoweringOptions,
-    ) -> (SuiteData, SuitePerf) {
         let names: Vec<String> = suite.iter().map(|b| b.name.to_string()).collect();
         let tasks = task_list(&suite, impls);
 
@@ -115,9 +104,7 @@ impl SuiteData {
         let t0 = Instant::now();
         let recorded: Vec<(String, Implementation, RecordedRun)> =
             tamsim_trace::par_map(tasks, move |(name, program, impl_)| {
-                let rec = Experiment::new(impl_)
-                    .with_opts(opts)
-                    .run_recorded(&program);
+                let rec = Experiment::new(impl_).run_recorded(&program);
                 (name, impl_, rec)
             });
         let machine_seconds = t0.elapsed().as_secs_f64();
@@ -153,47 +140,6 @@ impl SuiteData {
                 events,
             },
         )
-    }
-
-    /// Legacy streaming collection: each machine run is probed untraced
-    /// first, then re-run with a live [`CacheBank`] fanning every access
-    /// to every geometry. Kept as the baseline the `tamsim perf` command
-    /// measures the record/replay engine against, and for ablations that
-    /// need a live sink.
-    pub fn collect_inline(
-        suite: Vec<PaperBenchmark>,
-        impls: &[Implementation],
-        geometries: Vec<CacheGeometry>,
-    ) -> SuiteData {
-        Self::collect_inline_with_opts(suite, impls, geometries, LoweringOptions::default())
-    }
-
-    /// [`SuiteData::collect_inline`] with explicit lowering/simulator
-    /// options.
-    pub fn collect_inline_with_opts(
-        suite: Vec<PaperBenchmark>,
-        impls: &[Implementation],
-        geometries: Vec<CacheGeometry>,
-        opts: LoweringOptions,
-    ) -> SuiteData {
-        let names: Vec<String> = suite.iter().map(|b| b.name.to_string()).collect();
-        let tasks = task_list(&suite, impls);
-        // Same one-worker-per-core `par_map` fan-out as `collect_timed`,
-        // for the same working-set reason (and a fair perf comparison).
-        let geoms = &geometries;
-        let runs: Vec<ProgramRun> = tamsim_trace::par_map(tasks, move |(name, program, impl_)| {
-            let mut bank = CacheBank::symmetric(geoms.iter().copied());
-            let run = Experiment::new(impl_)
-                .with_opts(opts)
-                .run_with_sink(&program, &mut bank);
-            ProgramRun {
-                name,
-                implementation: impl_,
-                run,
-                caches: bank.summaries(),
-            }
-        });
-        SuiteData::from_runs(runs, names, geometries)
     }
 
     /// Build the dataset and its lookup index from collected runs.
@@ -287,38 +233,6 @@ mod tests {
     #[should_panic(expected = "non-positive")]
     fn geomean_rejects_nonpositive() {
         geomean([1.0, 0.0]);
-    }
-
-    #[test]
-    fn record_replay_collection_matches_inline_collection() {
-        let suite = || {
-            vec![
-                PaperBenchmark {
-                    name: "FIB",
-                    program: tamsim_programs::fib(8),
-                },
-                PaperBenchmark {
-                    name: "SS",
-                    program: tamsim_programs::ss(12),
-                },
-            ]
-        };
-        let impls = [Implementation::Md, Implementation::Am];
-        let geoms = vec![
-            table2_geometry(),
-            tamsim_cache::CacheGeometry::new(1024, 1, 64),
-        ];
-        let (new, perf) = SuiteData::collect_timed(suite(), &impls, geoms.clone());
-        let old = SuiteData::collect_inline(suite(), &impls, geoms.clone());
-        assert!(perf.events > 0);
-        for name in ["FIB", "SS"] {
-            for impl_ in impls {
-                let a = new.get(name, impl_);
-                let b = old.get(name, impl_);
-                assert_eq!(a.run.instructions, b.run.instructions, "{name} {impl_:?}");
-                assert_eq!(a.caches, b.caches, "{name} {impl_:?}");
-            }
-        }
     }
 
     #[test]

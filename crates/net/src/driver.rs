@@ -150,7 +150,9 @@ pub(crate) struct NodeHooks {
 }
 
 impl Hooks for NodeHooks {
-    #[inline]
+    // Forced: the executor emits accesses from many sites, and a call per
+    // fetch costs the mesh's per-cycle step more than the code it saves.
+    #[inline(always)]
     fn access(&mut self, access: Access) {
         self.counts.access(access);
         if let Some(log) = &mut self.log {
@@ -296,8 +298,6 @@ impl MeshRecordedRun {
 pub struct MeshExperiment {
     /// The back-end to lower to.
     pub implementation: Implementation,
-    /// Lowering optimization switches.
-    pub opts: LoweringOptions,
     /// Instruction budget per node.
     pub fuel: u64,
     /// Initial queue capacities (words); doubled automatically on
@@ -342,7 +342,6 @@ impl MeshExperiment {
         );
         MeshExperiment {
             implementation,
-            opts: LoweringOptions::default(),
             fuel: 2_000_000_000,
             queue_words: [1024, 1024],
             nodes,
@@ -361,12 +360,6 @@ impl MeshExperiment {
     /// drivers. Results are bit-identical at every thread count.
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Override the lowering options.
-    pub fn with_opts(mut self, opts: LoweringOptions) -> Self {
-        self.opts = opts;
         self
     }
 
@@ -484,7 +477,7 @@ impl MeshExperiment {
             let linked = link(
                 program,
                 self.implementation,
-                self.opts,
+                LoweringOptions::default(),
                 self.config(queue_words),
             );
             assert_eq!(
@@ -919,8 +912,8 @@ impl MeshExperiment {
                 height: topo.height,
                 cycles: cycle,
                 halt,
-                result: linked.read_result(&machines[0]),
-                arrays: linked.read_arrays(&machines[0]),
+                result: linked.read_result(&machines[0].mem),
+                arrays: linked.read_arrays(&machines[0].mem),
                 instructions: stats.iter().map(|s| s.instructions).sum(),
                 stats,
                 counts: hooks.iter().map(|h| h.counts.counts).collect(),
@@ -973,10 +966,7 @@ impl MeshExperiment {
     pub(crate) fn boot_nodes<'c>(&self, linked: &'c Linked, inject_boot: bool) -> Vec<Machine<'c>> {
         (0..self.nodes)
             .map(|n| {
-                let mut machine = Machine::new(linked.cfg, &linked.code);
-                if let Some(dec) = &linked.decoded {
-                    machine.attach_decoded(dec);
-                }
+                let mut machine = Machine::new(linked.cfg, &linked.decoded);
                 for &(addr, w) in &linked.seed {
                     if n > 0 && addr >= linked.cfg.map.heap_base {
                         continue; // initial arrays live on node 0

@@ -79,7 +79,7 @@ use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use tamsim_core::{link, Linked};
+use tamsim_core::{link, Linked, LoweringOptions};
 use tamsim_mdp::{
     HaltReason, HaltSet, Machine, NetPort, Priority, RouteOutcome, RunError, RunStats, Step, Wake,
     Word,
@@ -557,7 +557,7 @@ impl MeshExperiment {
             let linked = link(
                 program,
                 self.implementation,
-                self.opts,
+                LoweringOptions::default(),
                 self.config(queue_words),
             );
             assert_eq!(
@@ -969,8 +969,8 @@ impl MeshExperiment {
                         height: topo.height,
                         cycles: cycle,
                         halt,
-                        result: linked.read_result(&machines[0]),
-                        arrays: linked.read_arrays(&machines[0]),
+                        result: linked.read_result(&machines[0].mem),
+                        arrays: linked.read_arrays(&machines[0].mem),
                         instructions: stats.iter().map(|s| s.instructions).sum(),
                         stats,
                         counts: hooks.iter().map(|h| h.counts.counts).collect(),

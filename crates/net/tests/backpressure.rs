@@ -7,7 +7,9 @@
 //! and every message arrives in order.
 
 use tamsim_core::NetInfo;
-use tamsim_mdp::{CodeImage, MOp, Machine, MachineConfig, NoHooks, Priority, SendSrc, Step, Word};
+use tamsim_mdp::{
+    CodeImage, DecodedImage, MOp, Machine, MachineConfig, NoHooks, Priority, SendSrc, Step, Word,
+};
 use tamsim_net::{
     node_tag, Fabric, MeshTopology, NetConfig, NoNetHooks, NodePort, Placement, PlacementPolicy,
 };
@@ -36,7 +38,7 @@ fn net_info() -> NetInfo {
 }
 
 struct Rig {
-    img: CodeImage,
+    img: DecodedImage,
     sender_entry: u32,
 }
 
@@ -62,7 +64,10 @@ fn build_rig() -> Rig {
         });
     }
     img.push_user(MOp::Halt);
-    Rig { img, sender_entry }
+    Rig {
+        img: DecodedImage::decode(&img),
+        sender_entry,
+    }
 }
 
 #[test]

@@ -57,7 +57,7 @@ use tamsim_mdp::{HaltReason, Machine, MachineConfig, Memory, RunError, RunStats,
 use tamsim_net::{MeshExperiment, MeshRunResult, NetTraceMode, PlacementPolicy};
 use tamsim_tam::{AluOp, Program, TOp};
 use tamsim_trace::{
-    Access, AccessCounts, CountingSink, Mark, MarkSink, Priority, Tee, TraceLog, TraceSink,
+    Access, AccessCounts, CountingSink, MarkLog, MarkSink, Priority, Tee, TraceLog, TraceSink,
 };
 
 use crate::gen::GenConfig;
@@ -82,28 +82,8 @@ impl TraceSink for Recorders {
     }
 }
 
-impl MarkSink for Recorders {
-    #[inline]
-    fn instruction(&mut self, pri: Priority, pc: u32) {
-        if let Some(log) = &mut self.log {
-            log.instruction(pri, pc);
-        }
-    }
-
-    #[inline]
-    fn queue_sample(&mut self, used_words: [u32; 2]) {
-        if let Some(log) = &mut self.log {
-            log.queue_sample(used_words);
-        }
-    }
-
-    #[inline]
-    fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
-        if let Some(log) = &mut self.log {
-            log.mark(mark, frame, pri);
-        }
-    }
-}
+// Both recorders keep accesses only.
+impl MarkSink for Recorders {}
 
 /// The three back-ends under test, with their display labels.
 pub const IMPLS: [(Implementation, &str); 3] = [
@@ -501,12 +481,13 @@ fn run_one(
 }
 
 /// Re-run `program` under the executor and the [`RefMachine`] oracle,
-/// both from one link and with full-stream recording ([`TraceLog`]
-/// retains accesses, marks, and cycle counters), and require bit-identity
-/// in every observable: result words, final arrays, machine counters,
-/// every access event in recorded order, every mark record, and the
-/// per-priority cycle counters. Any gap means the executor's dispatch or
-/// event batching broke the event-stream contract.
+/// both from one link and with full-stream recording (a [`TraceLog`] for
+/// the accesses teed with a [`MarkLog`] for the marks and cycle
+/// counters), and require bit-identity in every observable: result
+/// words, final arrays, machine counters, every access event in recorded
+/// order, every mark record, and the per-priority cycle counters. Any gap
+/// means the executor's dispatch or event batching broke the event-stream
+/// contract.
 fn dispatch_cross_check(
     program: &Program,
     impl_: Implementation,
@@ -524,27 +505,29 @@ fn dispatch_cross_check(
         ..MachineConfig::default()
     };
     let linked = link(program, impl_, LoweringOptions::default(), mcfg);
-    let observe = |stats: RunStats, mem: &Memory, log: TraceLog| {
+    let observe = |stats: RunStats, mem: &Memory, rec: Tee<TraceLog, MarkLog>| {
         let result: Vec<u64> = linked.read_result(mem).iter().map(|w| w.bits()).collect();
         let arrays: Vec<Vec<Option<u64>>> = linked
             .read_arrays(mem)
             .iter()
             .map(|a| a.iter().map(|c| c.map(|w| w.bits())).collect())
             .collect();
-        (stats, result, arrays, log)
+        (stats, result, arrays, rec.a, rec.b)
     };
-    let mut hooks = SinkHooks(TraceLog::new());
+    let mut hooks = SinkHooks(Tee::new(TraceLog::new(), MarkLog::new()));
     let run = catch_trap(|| linked.run(&mut hooks))
         .map_err(|trap| fail(format!("executor run trapped: {trap}")))?;
     let (stats, machine) = run.map_err(|e| fail(format!("executor run failed: {e}")))?;
-    let (dec_stats, dec_result, dec_arrays, dec_log) = observe(stats, &machine.mem, hooks.0);
+    let (dec_stats, dec_result, dec_arrays, dec_log, dec_marks) =
+        observe(stats, &machine.mem, hooks.0);
 
-    let mut hooks = SinkHooks(TraceLog::new());
+    let mut hooks = SinkHooks(Tee::new(TraceLog::new(), MarkLog::new()));
     let mut oracle = RefMachine::boot(&linked);
     let run = catch_trap(|| oracle.run(&mut hooks))
         .map_err(|trap| fail(format!("reference run trapped: {trap}")))?;
     let stats = run.map_err(|e| fail(format!("reference run failed: {e}")))?;
-    let (ref_stats, ref_result, ref_arrays, ref_log) = observe(stats, &oracle.mem, hooks.0);
+    let (ref_stats, ref_result, ref_arrays, ref_log, ref_marks) =
+        observe(stats, &oracle.mem, hooks.0);
 
     if dec_result != ref_result {
         return Err(fail(format!(
@@ -576,14 +559,13 @@ fn dispatch_cross_check(
             "access stream diverges at event {i}: reference {r:?}, executor {d:?}"
         )));
     }
-    if dec_log.marks() != ref_log.marks() {
+    if dec_marks.records != ref_marks.records {
         return Err(fail("mark records diverge".into()));
     }
-    if dec_log.cycles() != ref_log.cycles() {
+    if dec_marks.cycles != ref_marks.cycles {
         return Err(fail(format!(
             "cycle counters diverge: reference {:?}, executor {:?}",
-            ref_log.cycles(),
-            dec_log.cycles()
+            ref_marks.cycles, dec_marks.cycles
         )));
     }
     Ok(())

@@ -25,9 +25,12 @@ const IMPLS: [Implementation; 3] = [
 /// Full-stream recorder, fed the way `Experiment::run_recorded` feeds its
 /// own: the executor's straight-line batches arrive through the bulk
 /// paths, the reference's events one at a time, so a batch that does not
-/// expand to the per-instruction stream shows up as a difference.
+/// expand to the per-instruction stream shows up as a difference. The
+/// access log keeps accesses only, so a [`MarkLog`] beside it keeps the
+/// marks and cycle counters.
 struct Recorder {
     log: TraceLog,
+    marks: MarkLog,
     counts: CountingSink,
     gran: Granularity,
 }
@@ -36,6 +39,7 @@ impl Recorder {
     fn new() -> Self {
         Recorder {
             log: TraceLog::new(),
+            marks: MarkLog::new(),
             counts: CountingSink::new(MemoryMap::default()),
             gran: Granularity::new(),
         }
@@ -50,23 +54,23 @@ impl Hooks for Recorder {
 
     fn instruction(&mut self, pri: Priority, pc: u32) {
         self.gran.instruction(pri, pc);
-        self.log.instruction(pri, pc);
+        self.marks.instruction(pri, pc);
     }
 
     fn fetch_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
         self.counts.fetch_run(start_pc, n);
         self.gran.fetch_run(pri, start_pc, n);
         self.log.fetch_run(start_pc, n);
-        self.log.instruction_run(pri, start_pc, n);
+        self.marks.instruction_run(pri, start_pc, n);
     }
 
     fn queue_sample(&mut self, used_words: [u32; 2]) {
-        self.log.queue_sample(used_words);
+        self.marks.queue_sample(used_words);
     }
 
     fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
         Hooks::mark(&mut self.gran, mark, frame, pri);
-        self.log.mark(mark, frame, pri);
+        self.marks.mark(mark, frame, pri);
     }
 }
 
@@ -130,8 +134,8 @@ fn executor_matches_reference_across_suite_and_backends() {
             {
                 panic!("{ctx}: trace diverges at event {i}: reference {r:?}, executor {e:?}");
             }
-            assert_eq!(eh.log.marks(), rh.log.marks(), "{ctx}: mark records");
-            assert_eq!(eh.log.cycles(), rh.log.cycles(), "{ctx}: cycle counters");
+            assert_eq!(eh.marks.records, rh.marks.records, "{ctx}: mark records");
+            assert_eq!(eh.marks.cycles, rh.marks.cycles, "{ctx}: cycle counters");
         }
     }
 }

@@ -112,6 +112,24 @@ fn malformed_programs_name_the_file_and_line() {
     }
 }
 
+/// Thread, inlet and codeblock ids are `u16`. Unchecked, the 65537th
+/// thread here aliased `t0`, so `post t0` ran `go` and the program printed
+/// 63 instead of 42.
+#[test]
+fn declarations_past_65536_are_refused() {
+    let empty: String = (1..65536).map(|k| format!("  thread e{k}\n")).collect();
+    let go = "  thread go\n    ld r0 x\n    add r1 r0 r0\n    add r1 r1 r0\n    return r1\n";
+    let source = DOUBLE
+        .replace("post go", "post t0")
+        .replace("thread go", "thread t0")
+        .replace("main main 21", &format!("{empty}{go}main main 21"));
+    // `t0` is on line 8 with a 3-line body, then 65535 empty threads.
+    assert_refused(
+        &file("threads.tam", source.as_bytes()),
+        "line 65547: more than 65536 threads in codeblock `main`",
+    );
+}
+
 #[test]
 fn unreadable_paths_name_the_file() {
     let missing = work_dir().join("no_such_file.tam");

@@ -724,7 +724,9 @@ impl ProfiledRun {
 ///
 /// Produced by [`Experiment::run_recorded`]; the log replays into any
 /// number of cache configurations via
-/// `tamsim_cache::CacheBank::replay_parallel`.
+/// `tamsim_cache::CacheBank::replay_parallel`. Only accesses are
+/// recorded: the granularity statistics were computed live, into
+/// `run.granularity`, and no mark is kept.
 #[derive(Debug, Clone)]
 pub struct RecordedRun {
     /// Everything [`Experiment::run_with_sink`] would have measured.

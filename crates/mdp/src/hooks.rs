@@ -72,10 +72,11 @@ impl Hooks for NoHooks {
 /// complete event stream: accesses, instruction ticks, queue samples, and
 /// marks.
 ///
-/// Access-only sinks opt out of the granularity stream by relying on the
-/// default no-op [`MarkSink`] methods; nothing is dropped silently by the
-/// adapter itself. This keeps recorded runs (a
-/// [`tamsim_trace::TraceLog`] sink) as informative as live ones.
+/// Access-only sinks (a [`tamsim_trace::TraceLog`], a cache bank) opt
+/// out of the granularity stream by relying on the default no-op
+/// [`MarkSink`] methods; nothing is dropped silently by the adapter
+/// itself, so a sink that keeps marks (a [`tamsim_trace::MarkLog`]) sees
+/// every one.
 #[derive(Debug, Default, Clone)]
 pub struct SinkHooks<S>(pub S);
 

@@ -47,7 +47,7 @@ use tamsim_mdp::{
     HaltReason, Hooks, Machine, MachineConfig, Priority, RunError, RunStats, Step, Wake, Word,
 };
 use tamsim_tam::Program;
-use tamsim_trace::{Access, AccessCounts, CountingSink, Mark, MarkSink, TraceLog, TraceSink};
+use tamsim_trace::{Access, AccessCounts, CountingSink, TraceLog, TraceSink};
 
 /// Default cycles without any instruction, fabric movement, or delivery
 /// before the driver concludes the mesh is gridlocked on queue space and
@@ -157,27 +157,6 @@ impl Hooks for NodeHooks {
         self.counts.access(access);
         if let Some(log) = &mut self.log {
             log.access(access);
-        }
-    }
-
-    #[inline]
-    fn instruction(&mut self, pri: Priority, pc: u32) {
-        if let Some(log) = &mut self.log {
-            MarkSink::instruction(log, pri, pc);
-        }
-    }
-
-    #[inline]
-    fn queue_sample(&mut self, used_words: [u32; 2]) {
-        if let Some(log) = &mut self.log {
-            MarkSink::queue_sample(log, used_words);
-        }
-    }
-
-    #[inline]
-    fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
-        if let Some(log) = &mut self.log {
-            MarkSink::mark(log, mark, frame, pri);
         }
     }
 }

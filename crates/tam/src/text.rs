@@ -188,13 +188,30 @@ struct CbSyms {
     inlets: HashMap<String, InletId>,
 }
 
-/// Give `name` the next id in `names`; false if it already has one.
-fn declare<T>(names: &mut HashMap<String, T>, name: &str, id: fn(u16) -> T) -> bool {
+/// Most codeblocks a program, or threads or inlets a codeblock, can
+/// declare: their ids are `u16`.
+const MAX_DECLARED: usize = 1 << 16;
+
+/// Why [`declare`] gave a name no id.
+enum Undeclared {
+    /// The name already has one.
+    Twice,
+    /// All [`MAX_DECLARED`] ids are taken.
+    Full,
+}
+
+/// Give `name` the next id in `names`.
+fn declare<T>(
+    names: &mut HashMap<String, T>,
+    name: &str,
+    id: fn(u16) -> T,
+) -> Result<(), Undeclared> {
     if names.contains_key(name) {
-        return false;
+        return Err(Undeclared::Twice);
     }
-    names.insert(name.to_string(), id(names.len() as u16));
-    true
+    let next = u16::try_from(names.len()).map_err(|_| Undeclared::Full)?;
+    names.insert(name.to_string(), id(next));
+    Ok(())
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -239,10 +256,15 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                     return err(ln, "usage: codeblock NAME");
                 }
                 let n = toks[1].to_string();
-                if cb_ids.contains_key(&n) {
-                    return err(ln, format!("codeblock `{n}` redefined"));
+                match declare(&mut cb_ids, &n, CodeblockId) {
+                    Ok(()) => {}
+                    Err(Undeclared::Twice) => {
+                        return err(ln, format!("codeblock `{n}` redefined"));
+                    }
+                    Err(Undeclared::Full) => {
+                        return err(ln, format!("more than {MAX_DECLARED} codeblocks"));
+                    }
                 }
-                cb_ids.insert(n.clone(), CodeblockId(cb_order.len() as u16));
                 cb_order.push(n);
                 syms.push(CbSyms::default());
                 current = Some(syms.len() - 1);
@@ -309,18 +331,25 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                     );
                 };
                 let s = &mut syms[c];
-                let fresh = match kind {
+                let declared = match kind {
                     "thread" => declare(&mut s.threads, bname, ThreadId),
                     _ => declare(&mut s.inlets, bname, InletId),
                 };
-                if !fresh {
-                    return err(
-                        ln,
-                        format!(
-                            "{kind} `{bname}` declared twice in codeblock `{}`",
-                            cb_order[c]
-                        ),
-                    );
+                let cb = &cb_order[c];
+                match declared {
+                    Ok(()) => {}
+                    Err(Undeclared::Twice) => {
+                        return err(
+                            ln,
+                            format!("{kind} `{bname}` declared twice in codeblock `{cb}`"),
+                        );
+                    }
+                    Err(Undeclared::Full) => {
+                        return err(
+                            ln,
+                            format!("more than {MAX_DECLARED} {kind}s in codeblock `{cb}`"),
+                        );
+                    }
                 }
             }
             _ => {}
@@ -986,9 +1015,14 @@ main main 0
     /// `DOUBLE` with `line` inserted before its line `at` (1-based), and
     /// the error parsing it gives.
     fn error_with(at: usize, line: &str) -> ParseError {
-        let mut lines: Vec<&str> = DOUBLE.lines().collect();
-        lines.insert(at - 1, line);
-        parse_program(&lines.join("\n")).expect_err(line)
+        parse_program(&double_with(at, std::iter::once(line.to_owned()))).expect_err(line)
+    }
+
+    /// `DOUBLE` with `extra` inserted before its line `at` (1-based).
+    fn double_with(at: usize, extra: impl Iterator<Item = String>) -> String {
+        let mut lines: Vec<String> = DOUBLE.lines().map(str::to_owned).collect();
+        lines.splice(at - 1..at - 1, extra);
+        lines.join("\n")
     }
 
     #[test]
@@ -1022,6 +1056,42 @@ main main 0
             &format!("codeblock other\n{body}main main 21"),
         );
         assert_eq!(parse_program(&two).unwrap().codeblocks.len(), 2);
+    }
+
+    #[test]
+    fn threads_past_65536_are_rejected() {
+        // `go` is declared on line 9, after 65536 threads: it gets no id.
+        let src = double_with(4, (0..MAX_DECLARED).map(|k| format!("  thread t{k}")));
+        let e = parse_program(&src).unwrap_err();
+        assert_eq!(e.line, 9 + MAX_DECLARED);
+        assert_eq!(e.message, "more than 65536 threads in codeblock `main`");
+        // One fewer and `go` takes the last id.
+        let src = double_with(4, (1..MAX_DECLARED).map(|k| format!("  thread t{k}")));
+        let program = parse_program(&src).unwrap();
+        assert_eq!(program.codeblocks[0].threads.len(), MAX_DECLARED);
+    }
+
+    #[test]
+    fn inlets_past_65536_are_rejected() {
+        // `arg` is declared on line 5, after 65536 inlets.
+        let src = double_with(4, (0..MAX_DECLARED).map(|k| format!("  inlet i{k}")));
+        let e = parse_program(&src).unwrap_err();
+        assert_eq!(e.line, 5 + MAX_DECLARED);
+        assert_eq!(e.message, "more than 65536 inlets in codeblock `main`");
+        let src = double_with(4, (1..MAX_DECLARED).map(|k| format!("  inlet i{k}")));
+        let program = parse_program(&src).unwrap();
+        assert_eq!(program.codeblocks[0].inlets.len(), MAX_DECLARED);
+    }
+
+    #[test]
+    fn codeblocks_past_65536_are_rejected() {
+        // `main` is declared on line 3, after 65536 codeblocks.
+        let src = double_with(3, (0..MAX_DECLARED).map(|k| format!("codeblock c{k}")));
+        let e = parse_program(&src).unwrap_err();
+        assert_eq!(e.line, 3 + MAX_DECLARED);
+        assert_eq!(e.message, "more than 65536 codeblocks");
+        let src = double_with(3, (1..MAX_DECLARED).map(|k| format!("codeblock c{k}")));
+        assert_eq!(parse_program(&src).unwrap().codeblocks.len(), MAX_DECLARED);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! [`Mark`]s into the code stream and executes them in zero cycles) but
 //! live here, in the narrow-waist crate, so that *every* trace consumer —
 //! the granularity statistics, the profiler in `tamsim-obs`, and the
-//! record/replay [`crate::TraceLog`] — can speak about them without
-//! depending on the machine model itself.
+//! executor-vs-oracle checks in `tamsim-check` — can speak about them
+//! without depending on the machine model itself.
 
 /// The two hardware priority levels of the MDP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -157,8 +157,9 @@ impl MarkRecord {
 /// A reusable accumulator that turns the [`MarkSink`] callback stream into
 /// a vector of [`MarkRecord`]s plus per-priority cycle totals.
 ///
-/// Embedded by [`crate::TraceLog`] and by the profiler's capture hooks so
-/// both retain granularity data identically.
+/// Embedded by the profiler's capture hooks, and teed beside a
+/// [`crate::TraceLog`] by the executor-vs-oracle checks, which compare
+/// every record.
 #[derive(Debug, Default, Clone)]
 pub struct MarkLog {
     /// The retained marks, in execution order.

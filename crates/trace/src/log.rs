@@ -11,8 +11,13 @@
 //! [`AccessKind::index`]: 0 for a fetch, 1 for a read, 2 for a write.
 //! [`TraceLog::packed_chunks`] exposes the words in that form, for
 //! consumers that decode only what they need.
+//!
+//! The log holds accesses only. The cache sweep reads nothing else, so the
+//! granularity stream (instruction ticks, queue samples, marks) passes
+//! through it unrecorded; a consumer that needs marks tees a
+//! [`crate::MarkLog`] beside it.
 
-use crate::{Access, AccessKind, Mark, MarkLog, MarkRecord, MarkSink, Priority, TraceSink};
+use crate::{Access, AccessKind, MarkSink, TraceSink};
 
 /// Events per chunk (256 KiB of packed events). Chunking keeps appends
 /// amortized O(1) without ever copying previously recorded events the way
@@ -45,20 +50,13 @@ fn decode(word: u32) -> Access {
 /// An in-memory recording of one machine run's access stream.
 ///
 /// Implements [`TraceSink`] for recording; [`TraceLog::iter`] replays the
-/// events in the recorded order. One event costs 4 bytes.
-///
-/// The log also implements [`MarkSink`], retaining the granularity stream
-/// (marks with per-priority cycle snapshots and queue-occupancy samples) so
-/// recorded runs lose nothing relative to live ones: replay consumers can
-/// rebuild timelines and quantum statistics from [`TraceLog::marks`]
-/// without re-simulating the machine. Marks are sparse, so the retained
-/// side-channel stays small next to the packed access stream.
+/// events in the recorded order. One event costs 4 bytes. Its
+/// [`MarkSink`] methods are the default no-ops: the log keeps accesses
+/// and nothing else.
 #[derive(Debug, Default, Clone)]
 pub struct TraceLog {
     /// Fixed-capacity chunks; only the last one is ever partially full.
     chunks: Vec<Vec<u32>>,
-    /// Retained granularity stream (marks, cycles, queue samples).
-    marks: MarkLog,
 }
 
 impl TraceLog {
@@ -106,7 +104,6 @@ impl TraceLog {
         if let Some(first) = self.chunks.first_mut() {
             first.clear();
         }
-        self.marks.clear();
     }
 
     /// Append `n` fetch events at consecutive word addresses from `start`.
@@ -133,16 +130,6 @@ impl TraceLog {
             addr += (take as u32) * 4;
             left -= take;
         }
-    }
-
-    /// The retained granularity marks, in execution order.
-    pub fn marks(&self) -> &[MarkRecord] {
-        &self.marks.records
-    }
-
-    /// Instructions recorded per priority (the run's cycle counters).
-    pub fn cycles(&self) -> [u64; 2] {
-        self.marks.cycles
     }
 
     /// The packed events, in recorded order, as the chunks that hold them.
@@ -175,27 +162,8 @@ impl TraceSink for TraceLog {
     }
 }
 
-impl MarkSink for TraceLog {
-    #[inline]
-    fn instruction(&mut self, pri: Priority, pc: u32) {
-        self.marks.instruction(pri, pc);
-    }
-
-    #[inline]
-    fn instruction_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
-        self.marks.instruction_run(pri, start_pc, n);
-    }
-
-    #[inline]
-    fn queue_sample(&mut self, used_words: [u32; 2]) {
-        self.marks.queue_sample(used_words);
-    }
-
-    #[inline]
-    fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
-        self.marks.mark(mark, frame, pri);
-    }
-}
+// The granularity stream is not recorded (see the module docs).
+impl MarkSink for TraceLog {}
 
 /// Iterator over a [`TraceLog`]'s events in recorded order.
 #[derive(Debug, Clone)]
@@ -293,18 +261,21 @@ mod tests {
     }
 
     #[test]
-    fn marks_are_retained_and_cleared_with_the_log() {
+    fn mark_sink_calls_leave_the_log_unchanged() {
+        use crate::{Mark, Priority};
         let mut log = TraceLog::new();
         log.access(Access::fetch(0));
+        log.access(Access::write(0x40));
         log.instruction(Priority::Low, 0);
+        log.instruction_run(Priority::High, 0x100, 5);
         log.queue_sample([5, 0]);
         log.mark(Mark::ThreadEnd, 0x80, Priority::Low);
-        assert_eq!(log.marks().len(), 1);
-        assert_eq!(log.cycles(), [1, 0]);
-        assert_eq!(log.marks()[0].queue_words, [5, 0]);
-        log.clear();
-        assert!(log.marks().is_empty());
-        assert_eq!(log.cycles(), [0, 0]);
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.packed_bytes(), 8);
+        assert_eq!(
+            log.iter().collect::<Vec<_>>(),
+            vec![Access::fetch(0), Access::write(0x40)]
+        );
     }
 
     #[test]

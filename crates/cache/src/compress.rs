@@ -444,7 +444,7 @@ pub(crate) fn replay(
 mod tests {
     use super::*;
     use crate::CacheSystem;
-    use tamsim_trace::{Access, TraceSink};
+    use tamsim_trace::{Access, Hooks};
 
     /// A stream exercising every run shape: sequential fetch runs,
     /// read-then-write runs, write-first runs, conflicts, and evictions

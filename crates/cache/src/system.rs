@@ -3,7 +3,7 @@
 
 use crate::compress;
 use crate::{Cache, CacheGeometry, CacheStats};
-use tamsim_trace::{Access, AccessKind, MarkSink, TraceLog, TraceSink};
+use tamsim_trace::{Access, AccessKind, Hooks, TraceLog};
 
 /// A split I/D cache pair, as in the paper ("in all cases, we specified
 /// separate instruction and write-back data caches").
@@ -49,7 +49,7 @@ impl CacheSystem {
 
     /// Replay a recorded access stream into this system.
     ///
-    /// Identical to feeding the same events through [`TraceSink::access`]
+    /// Identical to feeding the same events through [`Hooks::access`]
     /// one at a time, but with the routing match inlined over a dense
     /// packed log — the hot loop of the record/replay sweep.
     pub fn replay(&mut self, log: &TraceLog) {
@@ -69,7 +69,9 @@ impl CacheSystem {
     }
 }
 
-impl TraceSink for CacheSystem {
+// Cache behaviour depends only on the access stream; the granularity
+// callbacks keep their no-op defaults.
+impl Hooks for CacheSystem {
     #[inline]
     fn access(&mut self, access: Access) {
         match access.kind {
@@ -85,10 +87,6 @@ impl TraceSink for CacheSystem {
         }
     }
 }
-
-// Cache behaviour depends only on the access stream; the granularity
-// side-channel is deliberately ignored (default no-op `MarkSink`).
-impl MarkSink for CacheSystem {}
 
 /// Counters of one I/D pair after a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -253,7 +251,8 @@ impl CacheBank {
     }
 }
 
-impl TraceSink for CacheBank {
+// See `CacheSystem`: marks carry no cache-visible traffic.
+impl Hooks for CacheBank {
     #[inline]
     fn access(&mut self, access: Access) {
         for (_, system) in &mut self.systems {
@@ -261,9 +260,6 @@ impl TraceSink for CacheBank {
         }
     }
 }
-
-// See `CacheSystem`: marks carry no cache-visible traffic.
-impl MarkSink for CacheBank {}
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 //! associativity, in any mix within one call.
 
 use tamsim_cache::{CacheBank, CacheGeometry, CacheSummary, CacheSystem};
-use tamsim_trace::{Access, TraceLog, TraceSink};
+use tamsim_trace::{Access, Hooks, TraceLog};
 
 /// SplitMix64: a seeded, dependency-free stream of pseudo-random words.
 struct Rng(u64);

@@ -47,30 +47,29 @@
 //!
 //! A [`Mutation`] injects a deliberate bug into the MD back-end's copy of
 //! the program — the harness's self-test that divergences are actually
-//! caught (and shrinkable; see [`crate::shrink`]).
+//! caught (and shrinkable; see [`crate::shrink`](mod@crate::shrink)).
 
 use crate::invariant::InvariantChecker;
 use crate::reference::RefMachine;
 use tamsim_cache::{CacheBank, CacheGeometry};
 use tamsim_core::{link, FrameLayout, GlobalsMap, Implementation, LoweringOptions};
-use tamsim_mdp::{HaltReason, Machine, MachineConfig, Memory, RunError, RunStats, SinkHooks};
+use tamsim_mdp::{HaltReason, Machine, MachineConfig, Memory, RunError, RunStats};
 use tamsim_net::{MeshExperiment, MeshRunResult, NetTraceMode, PlacementPolicy};
 use tamsim_tam::{AluOp, Program, TOp};
-use tamsim_trace::{
-    Access, AccessCounts, CountingSink, MarkLog, MarkSink, Priority, Tee, TraceLog, TraceSink,
-};
+use tamsim_trace::{Access, AccessCounts, CountingSink, Hooks, MarkLog, Priority, Tee, TraceLog};
 
 use crate::gen::GenConfig;
 
 /// Optional per-run recorders, so one `Tee` shape serves every
 /// combination: the trace log is armed for the recorded (AM) run only,
 /// the access counters only when the mesh cross-check needs a reference.
+/// Both keep accesses only.
 struct Recorders {
     counts: Option<CountingSink>,
     log: Option<TraceLog>,
 }
 
-impl TraceSink for Recorders {
+impl Hooks for Recorders {
     #[inline]
     fn access(&mut self, access: Access) {
         if let Some(counts) = &mut self.counts {
@@ -81,9 +80,6 @@ impl TraceSink for Recorders {
         }
     }
 }
-
-// Both recorders keep accesses only.
-impl MarkSink for Recorders {}
 
 /// The three back-ends under test, with their display labels.
 pub const IMPLS: [(Implementation, &str); 3] = [
@@ -407,7 +403,7 @@ fn run_one(
         if !cfg.check_uninit_frame_reads {
             checker = checker.without_uninit_read_check();
         }
-        let mut hooks = SinkHooks(Tee::new(
+        let mut hooks = Tee::new(
             checker,
             Recorders {
                 // Armed only when the mesh cross-check needs a single-node
@@ -415,7 +411,7 @@ fn run_one(
                 counts: cfg.mesh.then(|| CountingSink::new(mcfg.map)),
                 log: record.then(TraceLog::new),
             },
-        ));
+        );
         let run = match catch_trap(|| linked.run(&mut hooks)) {
             Ok(run) => run,
             Err(trap) => {
@@ -444,7 +440,7 @@ fn run_one(
                 });
             }
             Ok((stats, machine)) => {
-                let checker = &hooks.0.a;
+                let checker = &hooks.a;
                 post_run_checks(program, impl_, label, &mcfg, &stats, &machine, checker)?;
                 let report = ImplReport {
                     label,
@@ -460,7 +456,7 @@ fn run_one(
                         .collect(),
                     instructions: stats.instructions,
                 };
-                if let Some(counts) = &hooks.0.b.counts {
+                if let Some(counts) = &hooks.b.counts {
                     let counts = counts.counts;
                     mesh_identity_check(
                         program,
@@ -474,7 +470,7 @@ fn run_one(
                     )?;
                 }
                 dispatch_cross_check(program, impl_, label, queue_words, cfg.fuel)?;
-                return Ok((report, hooks.0.b.log.take()));
+                return Ok((report, hooks.b.log.take()));
             }
         }
     }
@@ -514,20 +510,20 @@ fn dispatch_cross_check(
             .collect();
         (stats, result, arrays, rec.a, rec.b)
     };
-    let mut hooks = SinkHooks(Tee::new(TraceLog::new(), MarkLog::new()));
+    let mut hooks = Tee::new(TraceLog::new(), MarkLog::new());
     let run = catch_trap(|| linked.run(&mut hooks))
         .map_err(|trap| fail(format!("executor run trapped: {trap}")))?;
     let (stats, machine) = run.map_err(|e| fail(format!("executor run failed: {e}")))?;
     let (dec_stats, dec_result, dec_arrays, dec_log, dec_marks) =
-        observe(stats, &machine.mem, hooks.0);
+        observe(stats, &machine.mem, hooks);
 
-    let mut hooks = SinkHooks(Tee::new(TraceLog::new(), MarkLog::new()));
+    let mut hooks = Tee::new(TraceLog::new(), MarkLog::new());
     let mut oracle = RefMachine::boot(&linked);
     let run = catch_trap(|| oracle.run(&mut hooks))
         .map_err(|trap| fail(format!("reference run trapped: {trap}")))?;
     let stats = run.map_err(|e| fail(format!("reference run failed: {e}")))?;
     let (ref_stats, ref_result, ref_arrays, ref_log, ref_marks) =
-        observe(stats, &oracle.mem, hooks.0);
+        observe(stats, &oracle.mem, hooks);
 
     if dec_result != ref_result {
         return Err(fail(format!(

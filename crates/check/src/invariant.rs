@@ -28,14 +28,13 @@
 //! violates" as its failure signature.
 
 use tamsim_mdp::MachineConfig;
-use tamsim_trace::{Access, AccessKind, MarkSink, MemoryMap, TraceSink};
+use tamsim_trace::{Access, AccessKind, Hooks, MemoryMap};
 
 /// Cap on retained violation messages (the total count keeps counting).
 const MAX_RETAINED: usize = 16;
 
-/// A [`TraceSink`]/[`MarkSink`] layer that validates the event stream of
-/// one machine run. Feed it via `SinkHooks`, typically teed with a trace
-/// recorder.
+/// A [`Hooks`] layer that validates the event stream of one machine run.
+/// Pass it to the run directly, or teed with a trace recorder.
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {
     map: MemoryMap,
@@ -43,7 +42,8 @@ pub struct InvariantChecker {
     /// One bit per frame-region word: set once written.
     frame_written: Vec<u64>,
     check_uninit_reads: bool,
-    /// Retained violation messages (first [`MAX_RETAINED`]).
+    /// Retained violation messages, up to a cap (`total_violations` keeps
+    /// counting past it).
     pub violations: Vec<String>,
     /// Total violations observed, including ones past the retention cap.
     pub total_violations: u64,
@@ -97,7 +97,7 @@ impl InvariantChecker {
     }
 }
 
-impl TraceSink for InvariantChecker {
+impl Hooks for InvariantChecker {
     fn access(&mut self, access: Access) {
         let Some(region) = self.map.try_classify(access.addr) else {
             self.violate(format!(
@@ -150,9 +150,7 @@ impl TraceSink for InvariantChecker {
             }
         }
     }
-}
 
-impl MarkSink for InvariantChecker {
     fn queue_sample(&mut self, used_words: [u32; 2]) {
         let caps = self.queue_caps;
         for (i, (&used, &cap)) in used_words.iter().zip(&caps).enumerate() {

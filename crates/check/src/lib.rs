@@ -12,12 +12,12 @@
 //!   access and queue sample of a run against the region model;
 //! * [`diff`] — the differential runner executing one program under all
 //!   three back-ends and cross-checking results, message conservation,
-//!   termination residue, the executor against [`reference`], and the
-//!   record/replay cache engine;
-//! * [`reference`] — an independent enum-walking interpreter, the oracle
-//!   the executor in `tamsim-mdp` is held to;
-//! * [`shrink`] — greedy minimization of failing programs to reproducers
-//!   small enough to read.
+//!   termination residue, the executor against
+//!   [`reference`](mod@reference), and the record/replay cache engine;
+//! * [`reference`](mod@reference) — an independent enum-walking
+//!   interpreter, the oracle the executor in `tamsim-mdp` is held to;
+//! * [`shrink`](mod@shrink) — greedy minimization of failing programs to
+//!   reproducers small enough to read.
 //!
 //! [`fuzz_many`] ties them together: derive per-iteration seeds from a
 //! master seed, fan the iterations across the worker pool, and report

@@ -10,11 +10,9 @@ use tamsim_check::{RefMachine, SplitMix64};
 use tamsim_core::{Experiment, Granularity, Implementation, Linked};
 use tamsim_mdp::{
     AluOp, CodeImage, DecodedImage, HaltReason, Hooks, MOp, Machine, MachineConfig, Mark, NetPort,
-    Operand, Priority, Reg, RouteOutcome, RunError, RunStats, SendSrc, SinkHooks, Step, Word,
+    Operand, Priority, Reg, RouteOutcome, RunError, RunStats, SendSrc, Step, Word,
 };
-use tamsim_trace::{
-    Access, CountingSink, MarkLog, MarkSink, MemoryMap, Tee, TraceLog, TraceSink, VecSink,
-};
+use tamsim_trace::{Access, CountingSink, MarkLog, MemoryMap, Tee, TraceLog, VecSink};
 
 const IMPLS: [Implementation; 3] = [
     Implementation::Am,
@@ -58,10 +56,10 @@ impl Hooks for Recorder {
     }
 
     fn fetch_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
-        self.counts.fetch_run(start_pc, n);
+        self.counts.fetch_run(pri, start_pc, n);
         self.gran.fetch_run(pri, start_pc, n);
-        self.log.fetch_run(start_pc, n);
-        self.marks.instruction_run(pri, start_pc, n);
+        self.log.fetch_run(pri, start_pc, n);
+        self.marks.fetch_run(pri, start_pc, n);
     }
 
     fn queue_sample(&mut self, used_words: [u32; 2]) {
@@ -69,7 +67,7 @@ impl Hooks for Recorder {
     }
 
     fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
-        Hooks::mark(&mut self.gran, mark, frame, pri);
+        self.gran.mark(mark, frame, pri);
         self.marks.mark(mark, frame, pri);
     }
 }
@@ -185,15 +183,15 @@ fn assert_matches_reference(img: &CodeImage, boot: Boot) -> (RunStats, Vec<Acces
                 .unwrap();
         }
     }
-    let mut rh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
+    let mut rh = Tee::new(VecSink::new(), MarkLog::new());
     let rstats = oracle.run(&mut rh).expect("reference run failed");
-    let mut eh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
+    let mut eh = Tee::new(VecSink::new(), MarkLog::new());
     let estats = m.run(&mut eh).expect("executor run failed");
 
     assert_eq!(estats, rstats, "run stats diverge");
-    assert_eq!(eh.0.a.events, rh.0.a.events, "access streams diverge");
-    assert_eq!(eh.0.b.records, rh.0.b.records, "mark records diverge");
-    assert_eq!(eh.0.b.cycles, rh.0.b.cycles, "cycle counters diverge");
+    assert_eq!(eh.a.events, rh.a.events, "access streams diverge");
+    assert_eq!(eh.b.records, rh.b.records, "mark records diverge");
+    assert_eq!(eh.b.cycles, rh.b.cycles, "cycle counters diverge");
     for p in [Priority::Low, Priority::High] {
         for r in 0..Reg::COUNT as u8 {
             assert_eq!(
@@ -203,7 +201,7 @@ fn assert_matches_reference(img: &CodeImage, boot: Boot) -> (RunStats, Vec<Acces
             );
         }
     }
-    (estats, eh.0.a.events)
+    (estats, eh.a.events)
 }
 
 #[test]
@@ -395,17 +393,17 @@ fn executor_fuel_exhaustion_matches_reference_mid_batch() {
 
     let mut oracle = RefMachine::new(cfg, &img);
     oracle.start_low(entry);
-    let mut rh = SinkHooks(VecSink::new());
+    let mut rh = VecSink::new();
     let rerr = oracle.run(&mut rh).unwrap_err();
 
     let dec = DecodedImage::decode(&img);
     let mut m = Machine::new(cfg, &dec);
     m.start_low(entry);
-    let mut eh = SinkHooks(VecSink::new());
+    let mut eh = VecSink::new();
     let eerr = m.run(&mut eh).unwrap_err();
 
     assert_eq!(eerr, rerr);
-    assert_eq!(eh.0.events, rh.0.events);
+    assert_eq!(eh.events, rh.events);
     assert_eq!(
         m.reg(Priority::Low, Reg(0)),
         oracle.reg(Priority::Low, Reg(0))
@@ -468,23 +466,19 @@ fn step_side_by_side(linked: &Linked, seed: u64, ctx: &str) -> (u32, u32) {
     let mut m = linked.boot_machine();
     let mut oracle = RefMachine::boot(linked);
     let (mut ep, mut rp) = (ScriptedPort::new(seed), ScriptedPort::new(seed));
-    let mut eh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
-    let mut rh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
+    let mut eh = Tee::new(VecSink::new(), MarkLog::new());
+    let mut rh = Tee::new(VecSink::new(), MarkLog::new());
     let mut ran = 0u32;
     for i in 0..STEP_CAP {
-        let seen = eh.0.a.events.len();
+        let seen = eh.a.events.len();
         let got = m.step(&mut eh, &mut ep);
         let want = oracle.step(&mut rh, &mut rp);
         let ctx = format!("{ctx}, step {i}");
         assert_eq!(got, want, "{ctx}: step outcome");
         assert_eq!(ep.offered.len(), rp.offered.len(), "{ctx}: offers");
         assert_eq!(ep.offered.last(), rp.offered.last(), "{ctx}: offered words");
-        assert_eq!(
-            eh.0.a.events[seen..],
-            rh.0.a.events[seen..],
-            "{ctx}: events"
-        );
-        assert_eq!(eh.0.b.records.len(), rh.0.b.records.len(), "{ctx}: marks");
+        assert_eq!(eh.a.events[seen..], rh.a.events[seen..], "{ctx}: events");
+        assert_eq!(eh.b.records.len(), rh.b.records.len(), "{ctx}: marks");
         assert_eq!(
             m.stats(HaltReason::Quiescent),
             oracle.stats(HaltReason::Quiescent),
@@ -505,9 +499,9 @@ fn step_side_by_side(linked: &Linked, seed: u64, ctx: &str) -> (u32, u32) {
             }
         }
     }
-    assert_eq!(eh.0.a.events, rh.0.a.events, "{ctx}: event stream");
-    assert_eq!(eh.0.b.records, rh.0.b.records, "{ctx}: mark records");
-    assert_eq!(eh.0.b.cycles, rh.0.b.cycles, "{ctx}: cycle counters");
+    assert_eq!(eh.a.events, rh.a.events, "{ctx}: event stream");
+    assert_eq!(eh.b.records, rh.b.records, "{ctx}: mark records");
+    assert_eq!(eh.b.cycles, rh.b.cycles, "{ctx}: cycle counters");
     assert_eq!(ep.offered, rp.offered, "{ctx}: every offered message");
     assert!(ran > 0, "{ctx}: nothing ran");
     (ep.injected, ep.busy)

@@ -1309,6 +1309,14 @@ fn main() {
             Implementation::Md,
         ] {
             let out = tamsim_core::Experiment::new(impl_).run(&program);
+            if out.stats.halt != tamsim_mdp::HaltReason::Explicit {
+                // The result words were never written: no value came back.
+                eprintln!(
+                    "error: {path}: {}: main never returned (the run ended quiescent)",
+                    impl_.label()
+                );
+                std::process::exit(2);
+            }
             let result: Vec<String> = out.result.iter().map(|w| w.as_i64().to_string()).collect();
             println!(
                 "  {:5}: result [{}]  {} instructions, tpq {:.1}",

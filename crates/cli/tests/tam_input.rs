@@ -1,5 +1,6 @@
-//! `tamsim run FILE` on malformed input: every bad file exits 2 with an
-//! error that names the file (and, for a parse error, the line), and
+//! `tamsim run FILE` on malformed input, or on a program whose `main`
+//! never returns: every bad file exits 2 with an error that names the
+//! file (and, for a parse error, the line; for a run, the back-end), and
 //! nothing panics.
 
 use std::path::{Path, PathBuf};
@@ -127,6 +128,19 @@ fn declarations_past_65536_are_refused() {
     assert_refused(
         &file("threads.tam", source.as_bytes()),
         "line 65547: more than 65536 threads in codeblock `main`",
+    );
+}
+
+/// An inlet that stores its argument but posts no thread leaves `main`
+/// without a `return`: the run ends quiescent with the result words never
+/// written, which used to print `result [0]` and exit 0.
+#[test]
+fn a_program_whose_main_never_returns_is_refused() {
+    let source = DOUBLE.replace("    post go\n", "");
+    assert!(!source.contains("post"));
+    assert_refused(
+        &file("no_return.tam", source.as_bytes()),
+        "AM: main never returned (the run ended quiescent)",
     );
 }
 

@@ -12,9 +12,7 @@ use tamsim_mdp::{
 };
 use tamsim_obs::{ObsError, Profile, ProfileHooks, ProfileMeta, RawProfile, SymbolTable};
 use tamsim_tam::{Program, TOp, Value};
-use tamsim_trace::{
-    Access, AccessCounts, CountingSink, MarkSink, MemoryMap, NullSink, TraceLog, TraceSink,
-};
+use tamsim_trace::{Access, AccessCounts, CountingSink, MemoryMap, NoHooks, TraceLog};
 
 /// A program lowered and linked for one implementation: code image, boot
 /// message, and memory seed.
@@ -375,7 +373,7 @@ pub struct RunResult {
 }
 
 /// Hooks combining access counting, granularity tracking, and an
-/// arbitrary trace sink (e.g. a cache bank).
+/// arbitrary observer (e.g. a cache bank or a trace log).
 ///
 /// When `queue_bypass` is set, data accesses to the hardware message
 /// queues are counted but not forwarded to the sink: on the J-Machine
@@ -384,7 +382,7 @@ pub struct RunResult {
 /// contend for cache lines. Disabling the bypass models a CM-5-style
 /// network interface attached below the cache (the paper's footnote
 /// contrast) and is exercised by the ablation bench.
-struct DriverHooks<'a, S: TraceSink + MarkSink> {
+struct DriverHooks<'a, S: Hooks> {
     counts: CountingSink,
     gran: Granularity,
     extra: &'a mut S,
@@ -392,7 +390,7 @@ struct DriverHooks<'a, S: TraceSink + MarkSink> {
     queue_accesses: u64,
 }
 
-impl<S: TraceSink + MarkSink> Hooks for DriverHooks<'_, S> {
+impl<S: Hooks> Hooks for DriverHooks<'_, S> {
     #[inline]
     fn access(&mut self, access: Access) {
         self.counts.access(access);
@@ -411,19 +409,14 @@ impl<S: TraceSink + MarkSink> Hooks for DriverHooks<'_, S> {
         self.extra.instruction(pri, pc);
     }
 
-    // Bulk path for the executor's straight-line batches. The
-    // per-consumer streams stay identical to the per-event expansion:
-    // fetches carry no data accesses to order against (those flush the
-    // batch first), the granularity segment cannot change inside a batch
-    // (marks break batches), and the sink's TraceSink/MarkSink channels
-    // are independent streams, so delivering the batch's fetches and
-    // ticks grouped rather than interleaved is unobservable.
+    // Bulk path for the executor's straight-line batches: a batch holds
+    // fetches only (data accesses flush it first), and the queue bypass
+    // never filters a fetch, so every consumer takes the batch whole.
     #[inline]
     fn fetch_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
-        self.counts.fetch_run(start_pc, n);
+        self.counts.fetch_run(pri, start_pc, n);
         self.gran.fetch_run(pri, start_pc, n);
-        self.extra.fetch_run(start_pc, n);
-        self.extra.instruction_run(pri, start_pc, n);
+        self.extra.fetch_run(pri, start_pc, n);
     }
 
     #[inline]
@@ -433,7 +426,7 @@ impl<S: TraceSink + MarkSink> Hooks for DriverHooks<'_, S> {
 
     #[inline]
     fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
-        Hooks::mark(&mut self.gran, mark, frame, pri);
+        self.gran.mark(mark, frame, pri);
         self.extra.mark(mark, frame, pri);
     }
 }
@@ -480,109 +473,43 @@ impl Experiment {
         self
     }
 
-    fn config(&self, queue_words: [u32; 2]) -> MachineConfig {
-        MachineConfig {
-            queue_words,
-            fuel: self.fuel,
-            ..MachineConfig::default()
-        }
-    }
-
     /// Link `program` at the experiment's current queue sizes.
     pub fn link(&self, program: &Program) -> Linked {
-        link(
-            program,
-            self.implementation,
-            self.opts,
-            self.config(self.queue_words),
-        )
+        let cfg = MachineConfig {
+            queue_words: self.queue_words,
+            fuel: self.fuel,
+            ..MachineConfig::default()
+        };
+        link(program, self.implementation, self.opts, cfg)
     }
 
     /// Run `program` with no extra sink.
     pub fn run(&self, program: &Program) -> RunResult {
-        self.run_with_sink(program, &mut NullSink)
+        self.run_with_sink(program, &mut NoHooks)
     }
 
-    /// Run `program`, also streaming the trace into `sink` (typically a
-    /// [`tamsim_cache::CacheBank`]). On queue overflow the run restarts
-    /// with doubled queues, re-linking so addresses stay consistent, and
-    /// `sink` is only fed by the final successful run (the caller's sink
-    /// must be fresh; overflow is detected with a cheap probe first).
+    /// Run `program`, also streaming its events into `sink` — a live
+    /// [`tamsim_cache::CacheBank`], say, or any observer that must see
+    /// events as they happen. The sink receives the *complete* observation
+    /// stream — accesses, instruction ticks, queue samples, and marks;
+    /// access-only sinks leave the granularity callbacks at their no-op
+    /// defaults.
     ///
-    /// This is the legacy streaming path: it costs an extra untraced
-    /// machine run even when the initial queues fit. Prefer
-    /// [`Experiment::run_recorded`] unless the consumer genuinely needs a
-    /// live sink (e.g. an ablation observing events as they happen).
-    ///
-    /// The sink receives the *complete* observation stream — accesses,
-    /// instruction ticks, queue samples, and marks. Access-only sinks use
-    /// the default no-op [`MarkSink`] methods and cost nothing extra.
-    pub fn run_with_sink<S: TraceSink + MarkSink>(
-        &self,
-        program: &Program,
-        sink: &mut S,
-    ) -> RunResult {
-        // Probe with untraced runs until the queues fit.
-        let mut queue_words = self.queue_words;
-        let linked = loop {
-            let linked = link(
-                program,
-                self.implementation,
-                self.opts,
-                self.config(queue_words),
-            );
-            match linked.run(&mut tamsim_mdp::NoHooks) {
-                Ok(_) => break linked,
-                Err(RunError::QueueOverflow { pri }) => {
-                    let i = pri.index();
-                    assert!(
-                        queue_words[i] < 1 << 22,
-                        "queue demand implausibly large; runaway program?"
-                    );
-                    queue_words[i] *= 2;
-                }
-                Err(e) => panic!(
-                    "program {} failed under {:?}: {e}",
-                    program.name, self.implementation
-                ),
-            }
-        };
-
-        let sys = linked.cfg.sys_layout();
-        let mut hooks = DriverHooks {
-            counts: CountingSink::new(linked.cfg.map),
-            gran: Granularity::new(),
-            extra: sink,
-            queue_bypass: self
-                .queue_bypass
-                .then_some((sys.low_queue_base, sys.globals_base)),
-            queue_accesses: 0,
-        };
-        let (stats, machine) = linked
-            .run(&mut hooks)
-            .expect("probed run failed on the traced pass");
-        let queue_accesses = hooks.queue_accesses;
-        RunResult {
-            implementation: self.implementation,
-            instructions: stats.instructions,
-            result: linked.read_result(&machine.mem),
-            arrays: linked.read_arrays(&machine.mem),
-            counts: hooks.counts.counts,
-            granularity: hooks.gran,
-            stats,
-            queue_words,
-            queue_accesses,
-        }
+    /// When the initial queues fit, the machine runs once. On queue
+    /// overflow the run restarts with that queue doubled, re-linking so
+    /// addresses stay consistent, and `sink` is first restored to the
+    /// state it was passed in: it describes only the run that completed.
+    pub fn run_with_sink<S: Hooks + Clone>(&self, program: &Program, sink: &mut S) -> RunResult {
+        self.attempts(program, sink, |_| {}).0
     }
 
     /// Run `program` once, recording its access trace into a [`TraceLog`]
     /// for later (parallel) replay.
     ///
-    /// Unlike [`Experiment::run_with_sink`], recording happens *during*
-    /// the queue-sizing attempt loop: when the initial queues fit — the
-    /// common case — the machine runs exactly once instead of
-    /// probe-then-trace twice. On overflow the partial log is discarded
-    /// and the attempt repeats with that queue doubled.
+    /// Recording shares [`Experiment::run_with_sink`]'s attempt loop: when
+    /// the initial queues fit — the common case — the machine runs exactly
+    /// once. On overflow the partial log is discarded and the attempt
+    /// repeats with that queue doubled.
     pub fn run_recorded(&self, program: &Program) -> RecordedRun {
         self.run_recorded_observed(program, |_| {})
     }
@@ -594,23 +521,64 @@ impl Experiment {
     pub fn run_recorded_observed(
         &self,
         program: &Program,
-        mut on_machine_run: impl FnMut(u32),
+        on_machine_run: impl FnMut(u32),
     ) -> RecordedRun {
-        let mut queue_words = self.queue_words;
         let mut log = TraceLog::new();
+        let (run, _) = self.attempts(program, &mut log, on_machine_run);
+        RecordedRun { run, log }
+    }
+
+    /// Run `program` with the profiler attached.
+    ///
+    /// This is [`Experiment::run_with_sink`] with a
+    /// [`tamsim_obs::ProfileHooks`] sink — the machine takes exactly the
+    /// same path as an unprofiled [`Experiment::run`], so cycle counts,
+    /// results, and all statistics are identical by construction (the
+    /// differential tests assert this). The symbol table and memory map
+    /// are those of the image that ran, at its final queue sizes.
+    pub fn run_profiled(&self, program: &Program) -> ProfiledRun {
+        let mut hooks = ProfileHooks::new();
+        let (run, linked) = self.attempts(program, &mut hooks, |_| {});
+        ProfiledRun {
+            raw: hooks.finish(),
+            symbols: linked.symbols,
+            map: linked.cfg.map,
+            codeblock_names: program
+                .codeblocks
+                .iter()
+                .map(|cb| cb.name.clone())
+                .collect(),
+            program: program.name.clone(),
+            run,
+        }
+    }
+
+    /// The one run loop behind every entry point above: link at the
+    /// current queue sizes and run once under [`DriverHooks`]. On queue
+    /// overflow, double that queue, restore `sink` from the copy taken at
+    /// entry and try again. Returns the measurements and the image that
+    /// ran. `on_machine_run` sees the 0-based attempt number before each
+    /// machine run.
+    fn attempts<S: Hooks + Clone>(
+        &self,
+        program: &Program,
+        sink: &mut S,
+        mut on_machine_run: impl FnMut(u32),
+    ) -> (RunResult, Linked) {
+        let fresh = sink.clone();
+        let mut queue_words = self.queue_words;
         let mut attempt = 0u32;
         loop {
-            let linked = link(
-                program,
-                self.implementation,
-                self.opts,
-                self.config(queue_words),
-            );
+            let linked = Experiment {
+                queue_words,
+                ..*self
+            }
+            .link(program);
             let sys = linked.cfg.sys_layout();
             let mut hooks = DriverHooks {
                 counts: CountingSink::new(linked.cfg.map),
                 gran: Granularity::new(),
-                extra: &mut log,
+                extra: &mut *sink,
                 queue_bypass: self
                     .queue_bypass
                     .then_some((sys.low_queue_base, sys.globals_base)),
@@ -631,7 +599,7 @@ impl Experiment {
                         queue_words,
                         queue_accesses: hooks.queue_accesses,
                     };
-                    return RecordedRun { run, log };
+                    return (run, linked);
                 }
                 Err(RunError::QueueOverflow { pri }) => {
                     let i = pri.index();
@@ -640,45 +608,13 @@ impl Experiment {
                         "queue demand implausibly large; runaway program?"
                     );
                     queue_words[i] *= 2;
-                    log.clear();
+                    *sink = fresh.clone();
                 }
                 Err(e) => panic!(
                     "program {} failed under {:?}: {e}",
                     program.name, self.implementation
                 ),
             }
-        }
-    }
-
-    /// Run `program` with the profiler attached.
-    ///
-    /// This is [`Experiment::run_with_sink`] with a
-    /// [`tamsim_obs::ProfileHooks`] sink — the machine takes exactly the
-    /// same path as an unprofiled [`Experiment::run`], so cycle counts,
-    /// results, and all statistics are identical by construction (the
-    /// differential tests assert this).
-    pub fn run_profiled(&self, program: &Program) -> ProfiledRun {
-        let mut hooks = ProfileHooks::new();
-        let run = self.run_with_sink(program, &mut hooks);
-        // Re-link at the final (possibly auto-doubled) queue sizes to
-        // recover the symbol table of the image that actually ran.
-        let linked = link(
-            program,
-            self.implementation,
-            self.opts,
-            self.config(run.queue_words),
-        );
-        ProfiledRun {
-            raw: hooks.finish(),
-            symbols: linked.symbols,
-            map: linked.cfg.map,
-            codeblock_names: program
-                .codeblocks
-                .iter()
-                .map(|cb| cb.name.clone())
-                .collect(),
-            program: program.name.clone(),
-            run,
         }
     }
 }
@@ -729,9 +665,9 @@ impl ProfiledRun {
 /// `run.granularity`, and no mark is kept.
 #[derive(Debug, Clone)]
 pub struct RecordedRun {
-    /// Everything [`Experiment::run_with_sink`] would have measured.
+    /// Everything [`Experiment::run`] would have measured.
     pub run: RunResult,
     /// The recorded access stream (queue-bypassed accesses excluded, as
-    /// in the streaming path).
+    /// for any sink).
     pub log: TraceLog,
 }

@@ -12,12 +12,13 @@
 //! [`Experiment`] links a `tamsim-tam` [`tamsim_tam::Program`] for either
 //! back-end, runs it on the `tamsim-mdp` machine, and reports instruction
 //! counts, Section 3.1 access counts, and Table 2 granularity statistics.
-//! [`Experiment::run_recorded`] additionally captures the access trace in
-//! a single machine run; `tamsim_cache::CacheBank::replay_parallel` then
-//! scores every cache configuration from the recording. The streaming
-//! alternative ([`Experiment::run_with_sink`] with a live
-//! [`tamsim_cache::CacheBank`]) remains for consumers that must observe
-//! events as they happen.
+//! Every entry point — [`Experiment::run`], [`Experiment::run_with_sink`],
+//! [`Experiment::run_recorded`] and [`Experiment::run_profiled`] — shares
+//! one attempt loop that simulates the machine once when the queues fit.
+//! [`Experiment::run_recorded`] captures the access trace during that run;
+//! `tamsim_cache::CacheBank::replay_parallel` then scores every cache
+//! configuration from the recording. [`Experiment::run_with_sink`] feeds
+//! any other observer (a live [`tamsim_cache::CacheBank`], say) instead.
 
 pub mod asm;
 pub mod experiment;

@@ -147,3 +147,27 @@ fn hotspots_cover_all_fetches_with_named_symbols() {
     assert!(names.iter().any(|n| n.starts_with("fib.")), "{names:?}");
     assert!(!names.contains(&"(unmapped)"), "{names:?}");
 }
+
+/// A queue overflow restarts the run, and the profiler must describe only
+/// the attempt that completed: its capture equals that of a run started
+/// at the final queue sizes, and its cycle counters equal the machine's
+/// instruction count.
+#[test]
+fn overflow_restart_profiles_only_the_final_attempt() {
+    let program = fib(8);
+    let mut tiny = Experiment::new(Implementation::Md);
+    tiny.queue_words = [16, 16];
+    let profiled = tiny.run_profiled(&program);
+    assert_ne!(
+        profiled.run.queue_words, tiny.queue_words,
+        "expected 16-word queues to overflow"
+    );
+    assert_eq!(profiled.raw.total_cycles(), profiled.run.instructions);
+
+    let mut sized = tiny;
+    sized.queue_words = profiled.run.queue_words;
+    let direct = sized.run_profiled(&program);
+    assert_eq!(direct.run.queue_words, profiled.run.queue_words);
+    assert_eq!(profiled.raw.records, direct.raw.records);
+    assert_eq!(profiled.raw.cycles, direct.raw.cycles);
+}

@@ -1,10 +1,11 @@
 //! The record-once/replay-parallel engine must be invisible: identical
-//! measurements to the legacy streaming path, at one machine run instead
-//! of two.
+//! measurements to streaming the same run into a live sink, in one
+//! machine run when the queues fit.
 
 use tamsim_cache::{table2_geometry, CacheBank, CacheGeometry};
 use tamsim_core::{Experiment, Implementation};
 use tamsim_tam::Program;
+use tamsim_trace::{Access, AccessKind, Hooks, Priority};
 
 fn sweep() -> Vec<CacheGeometry> {
     vec![
@@ -101,6 +102,30 @@ fn overflow_retries_then_records_cleanly() {
     );
 }
 
+/// A queue overflow restarts the run, and the log must hold only the
+/// attempt that completed: one event per counted access, and the same
+/// events as a recording started at the final queue sizes. (The test
+/// above cannot see a partial attempt left in the log, because the
+/// streamed bank it compares against shares the attempt loop.)
+#[test]
+fn overflow_restart_keeps_only_the_final_attempt() {
+    let program = tamsim_programs::fib(8);
+    let mut tiny = Experiment::new(Implementation::Md);
+    tiny.queue_words = [16, 16];
+    let recorded = tiny.run_recorded(&program);
+    assert_ne!(
+        recorded.run.queue_words, tiny.queue_words,
+        "expected 16-word queues to overflow"
+    );
+    assert_eq!(recorded.log.len() as u64, recorded.run.counts.total());
+
+    let mut sized = tiny;
+    sized.queue_words = recorded.run.queue_words;
+    let direct = sized.run_recorded(&program);
+    assert_eq!(direct.run.queue_words, recorded.run.queue_words);
+    assert!(recorded.log.iter().eq(direct.log.iter()));
+}
+
 /// The legacy streaming path stays a supported API for live-sink
 /// consumers.
 #[test]
@@ -113,4 +138,48 @@ fn legacy_run_with_sink_still_works() {
     let summary = bank.summary_for(geom).expect("geometry present");
     assert!(summary.i.reads > 0, "fetches reached the sink");
     assert!(summary.d.accesses() > 0, "data accesses reached the sink");
+}
+
+/// Counts the shapes in which instructions reach a live sink.
+#[derive(Clone, Default)]
+struct FetchShapes {
+    fetches: u64,
+    ticks: u64,
+    batches: u64,
+    batched: u64,
+}
+
+impl Hooks for FetchShapes {
+    fn access(&mut self, access: Access) {
+        self.fetches += u64::from(access.kind == AccessKind::Fetch);
+    }
+
+    fn instruction(&mut self, _pri: Priority, _pc: u32) {
+        self.ticks += 1;
+    }
+
+    fn fetch_run(&mut self, _pri: Priority, _start_pc: u32, n: u32) {
+        self.batches += 1;
+        self.batched += u64::from(n);
+    }
+}
+
+/// The driver hands the executor's straight-line batches to a live sink
+/// whole, one call per batch, so the sink's own bulk path runs; single
+/// instructions arrive as a fetch and a tick. Together they account for
+/// every fetch and every instruction of the run.
+#[test]
+fn live_sinks_receive_batches_whole() {
+    for impl_ in [Implementation::Am, Implementation::Md] {
+        let mut shapes = FetchShapes::default();
+        let run = Experiment::new(impl_).run_with_sink(&tamsim_programs::fib(8), &mut shapes);
+        assert!(shapes.batches > 0, "{impl_:?}: no batch reached the sink");
+        assert_eq!(shapes.fetches, shapes.ticks, "{impl_:?}");
+        assert_eq!(
+            shapes.fetches + shapes.batched,
+            run.counts.fetches(),
+            "{impl_:?}"
+        );
+        assert_eq!(shapes.ticks + shapes.batched, run.instructions, "{impl_:?}");
+    }
 }

@@ -11,7 +11,6 @@
 pub mod code;
 pub mod decode;
 pub mod disasm;
-pub mod hooks;
 pub mod isa;
 pub mod machine;
 pub mod memory;
@@ -21,7 +20,6 @@ pub mod word;
 pub use code::CodeImage;
 pub use decode::{DOp, DOperand, DSendSrc, DecodedImage};
 pub use disasm::{disasm_op, disasm_region};
-pub use hooks::{Hooks, NoHooks, SinkHooks};
 pub use isa::{AluOp, FAluOp, MOp, Mark, Operand, Priority, Reg, SendSrc};
 pub use machine::{
     HaltReason, HaltSet, Loopback, Machine, MachineConfig, NetPort, RouteOutcome, RunError,
@@ -29,4 +27,6 @@ pub use machine::{
 };
 pub use memory::Memory;
 pub use queue::{MessageQueue, MsgRef, DEFAULT_QUEUE_WORDS};
+// The observer trait lives in `tamsim-trace`, beside every observer.
+pub use tamsim_trace::{Hooks, NoHooks};
 pub use word::Word;

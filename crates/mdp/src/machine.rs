@@ -1137,8 +1137,8 @@ impl HaltSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::{NoHooks, SinkHooks};
     use crate::Mark;
+    use crate::NoHooks;
     use crate::{Operand, SendSrc};
     use tamsim_trace::{AccessKind, VecSink};
 
@@ -1161,9 +1161,9 @@ mod tests {
         let dec = DecodedImage::decode(&img);
         let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         let stats = m.run(&mut hooks).expect("run failed");
-        (stats, hooks.0.events)
+        (stats, hooks.events)
     }
 
     #[test]
@@ -1437,9 +1437,9 @@ mod tests {
         let dec = DecodedImage::decode(&img2);
         let mut m = Machine::new(cfg, &dec);
         m.start_low(entry2);
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         m.run(&mut hooks).unwrap();
-        assert!(hooks.0.events.contains(&Access::write(hq_base)));
+        assert!(hooks.events.contains(&Access::write(hq_base)));
         assert_eq!(m.mem.read(hq_base).as_i64(), 0xAB);
     }
 
@@ -1849,21 +1849,17 @@ mod tests {
         let dec = DecodedImage::decode(&img);
         let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         let mut port = FlakyPort {
             busy: 2,
             offered: vec![],
         };
         assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Ran); // MovI
-        let events_before = hooks.0.events.len();
+        let events_before = hooks.events.len();
         // Two stalled attempts: nothing happens at all.
         assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Blocked);
         assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Blocked);
-        assert_eq!(
-            hooks.0.events.len(),
-            events_before,
-            "no events while blocked"
-        );
+        assert_eq!(hooks.events.len(), events_before, "no events while blocked");
         assert_eq!(m.stats(HaltReason::Quiescent).instructions, 1);
         assert_eq!(m.stats(HaltReason::Quiescent).sends, 0);
         // Third attempt goes through; the same words were offered each time.
@@ -1873,7 +1869,7 @@ mod tests {
         assert_eq!(port.offered[2][0].as_i64(), 0x55);
         assert_eq!(port.offered[2][1].as_i64(), 7);
         assert_eq!(m.stats(HaltReason::Quiescent).sends, 1);
-        assert!(hooks.0.events.len() > events_before, "send now traced");
+        assert!(hooks.events.len() > events_before, "send now traced");
     }
 
     /// A port that injects everything into a fake network.
@@ -1900,7 +1896,7 @@ mod tests {
         let dec = DecodedImage::decode(&img);
         let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         let mut port = InjectAll;
         while !matches!(m.step(&mut hooks, &mut port).unwrap(), Step::Halted(_)) {}
         let stats = m.stats(HaltReason::Explicit);
@@ -1908,7 +1904,7 @@ mod tests {
         assert_eq!(stats.send_words, 1);
         assert!(m.queue(Priority::Low).is_empty(), "message left the node");
         assert!(
-            !hooks.0.events.iter().any(|a| a.kind == AccessKind::Write),
+            !hooks.events.iter().any(|a| a.kind == AccessKind::Write),
             "no local queue writes for an injected message"
         );
     }
@@ -1928,16 +1924,16 @@ mod tests {
         let dec = DecodedImage::decode(&img);
         let mut m = Machine::new(cfg, &dec);
         let msg = [Word::from_addr(handler), Word::ZERO, Word::ZERO, Word::ZERO];
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         assert!(m.try_deliver(Priority::Low, &msg, &mut hooks));
         assert!(m.try_deliver(Priority::Low, &msg, &mut hooks));
         assert_eq!(m.queue(Priority::Low).used_words(), 8);
         // Full to the word: the third delivery is refused, nothing changes.
-        let events_before = hooks.0.events.len();
+        let events_before = hooks.events.len();
         assert!(!m.try_deliver(Priority::Low, &msg, &mut hooks));
         assert_eq!(m.queue(Priority::Low).used_words(), 8);
         assert_eq!(m.queue(Priority::Low).len(), 2);
-        assert_eq!(hooks.0.events.len(), events_before);
+        assert_eq!(hooks.events.len(), events_before);
         // Dispatch + suspend retires the front message; space reopens.
         assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran);
         assert!(m.try_deliver(Priority::Low, &msg, &mut hooks));
@@ -1976,12 +1972,12 @@ mod tests {
         let dec = DecodedImage::decode(&img);
         let mut m = Machine::new(cfg, &dec);
         m.start_low(entry);
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         m.run(&mut hooks).unwrap();
         assert_eq!(m.reg(Priority::Low, Reg(2)).as_i64(), 99);
         assert_eq!(m.mem.read(fb + 4).as_i64(), 99, "store landed untagged");
         assert!(
-            hooks.0.events.contains(&Access::write(fb + 4)),
+            hooks.events.contains(&Access::write(fb + 4)),
             "the trace sees the masked (local) address"
         );
     }
@@ -2040,16 +2036,16 @@ mod tests {
         let dec = DecodedImage::decode(&img);
         let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         let mut port = FlakyPort {
             busy: 2,
             offered: vec![],
         };
         assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Ran);
-        let events_before = hooks.0.events.len();
+        let events_before = hooks.events.len();
         assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Blocked);
         assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Blocked);
-        assert_eq!(hooks.0.events.len(), events_before);
+        assert_eq!(hooks.events.len(), events_before);
         assert_eq!(m.stats(HaltReason::Quiescent).sends, 0);
         assert_eq!(m.step(&mut hooks, &mut port).unwrap(), Step::Ran);
         assert_eq!(port.offered.len(), 3);
@@ -2088,7 +2084,7 @@ mod tests {
         assert!(dec.fused_count() > 0, "the pair fused");
         let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran); // MovI
         assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran); // Alu half
         assert_eq!(m.reg(Priority::Low, Reg(0)).as_i64(), 1);
@@ -2104,7 +2100,6 @@ mod tests {
             Step::Halted(HaltReason::Explicit)
         );
         let fetches: Vec<u32> = hooks
-            .0
             .events
             .iter()
             .filter(|a| a.kind == AccessKind::Fetch)
@@ -2303,14 +2298,14 @@ mod tests {
     ) {
         let mut whole = Machine::new(cfg, dec);
         setup(&mut whole);
-        let mut wh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
+        let mut wh = Tee::new(VecSink::new(), MarkLog::new());
         let want = whole.run(&mut wh);
 
         for (budget, one) in [(1, true), (1, false), (2, false), (3, false), (5, false)] {
             let ctx = format!("budget {budget}{}", if one { " (step)" } else { "" });
             let mut m = Machine::new(cfg, dec);
             setup(&mut m);
-            let mut sh = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
+            let mut sh = Tee::new(VecSink::new(), MarkLog::new());
             let got = loop {
                 let before = m.instructions;
                 let step = if one {
@@ -2332,9 +2327,9 @@ mod tests {
                 whole.stats(HaltReason::Quiescent),
                 "{ctx}: counters"
             );
-            assert_eq!(sh.0.a.events, wh.0.a.events, "{ctx}: access stream");
-            assert_eq!(sh.0.b.records, wh.0.b.records, "{ctx}: mark records");
-            assert_eq!(sh.0.b.cycles, wh.0.b.cycles, "{ctx}: cycle counters");
+            assert_eq!(sh.a.events, wh.a.events, "{ctx}: access stream");
+            assert_eq!(sh.b.records, wh.b.records, "{ctx}: mark records");
+            assert_eq!(sh.b.cycles, wh.b.cycles, "{ctx}: cycle counters");
             for p in [Priority::Low, Priority::High] {
                 assert_eq!(m.context_pc(p), whole.context_pc(p), "{ctx}: {p:?} pc");
                 for r in 0..Reg::COUNT as u8 {
@@ -2376,7 +2371,7 @@ mod tests {
         assert!(matches!(dec.op(dec.idx_of(entry + 4)), DOp::MovISt { .. }));
         let mut m = Machine::new(MachineConfig::default(), &dec);
         m.start_low(entry);
-        let mut hooks = SinkHooks(VecSink::new());
+        let mut hooks = VecSink::new();
         assert_eq!(
             m.exec::<false, _, _>(&mut hooks, &mut Loopback, 2).unwrap(),
             Step::Ran
@@ -2384,7 +2379,7 @@ mod tests {
         assert_eq!(m.context_pc(Priority::Low), Some(entry + 8));
         assert_eq!(m.reg(Priority::Low, Reg(1)).as_i64(), 40, "first half ran");
         assert_eq!(
-            hooks.0.events,
+            hooks.events,
             vec![Access::fetch(entry), Access::fetch(entry + 4)],
             "the store half has not run"
         );
@@ -2392,7 +2387,7 @@ mod tests {
         assert_eq!(m.step(&mut hooks, &mut Loopback).unwrap(), Step::Ran);
         let fb = map().frame_base;
         assert_eq!(
-            hooks.0.events[2..],
+            hooks.events[2..],
             [Access::fetch(entry + 8), Access::write(fb)]
         );
     }

@@ -138,7 +138,7 @@ pub fn figure1_program() -> Program {
 use tamsim_tam::AluOp;
 
 /// Figure 1: render the execution-order contrast for the two
-/// implementations ("under the AM implementation, one [inlet] will run,
+/// implementations ("under the AM implementation, one \[inlet\] will run,
 /// then the other, followed by any threads they fork. Under the MD
 /// implementation, the first inlet will run, followed by any threads that
 /// it posts, with the second inlet running after").

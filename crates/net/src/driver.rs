@@ -47,7 +47,7 @@ use tamsim_mdp::{
     HaltReason, Hooks, Machine, MachineConfig, Priority, RunError, RunStats, Step, Wake, Word,
 };
 use tamsim_tam::Program;
-use tamsim_trace::{Access, AccessCounts, CountingSink, TraceLog, TraceSink};
+use tamsim_trace::{Access, AccessCounts, CountingSink, TraceLog};
 
 /// Default cycles without any instruction, fabric movement, or delivery
 /// before the driver concludes the mesh is gridlocked on queue space and
@@ -220,9 +220,6 @@ pub struct MeshRunResult {
     /// suspended with posted frames (the arrival/suspend race), summed
     /// over all attempts.
     pub backstop_rearms: u64,
-    /// Per-node recorded access traces (when recording was requested);
-    /// replay each into its own `CacheBank` for per-node locality.
-    pub logs: Option<Vec<TraceLog>>,
     /// Per-worker counters when the parallel driver ran (`None` on the
     /// serial drivers). Everything here is a deterministic function of
     /// the program and the `(nodes, threads)` partition — node ranges and
@@ -257,9 +254,10 @@ impl MeshRunResult {
 /// (see [`MeshExperiment::run_recorded`]).
 #[derive(Debug, Clone)]
 pub struct MeshRecordedRun {
-    /// The run itself (`logs` moved out).
+    /// The run itself, bit-identical to an unrecorded one.
     pub run: MeshRunResult,
-    /// One recorded trace per node, in node order.
+    /// One recorded trace per node, in node order; replay each into its
+    /// own `CacheBank` for per-node locality.
     pub logs: Vec<TraceLog>,
 }
 
@@ -288,8 +286,6 @@ pub struct MeshExperiment {
     pub net: NetConfig,
     /// Frame-placement policy.
     pub placement: PlacementPolicy,
-    /// Record per-node access traces for cache replay.
-    pub record: bool,
     /// Event-horizon fast-forwarding (on by default; results are
     /// bit-identical either way). [`MeshExperiment::lockstep`] disables it
     /// for differential tests and driver benchmarking.
@@ -326,7 +322,6 @@ impl MeshExperiment {
             nodes,
             net: NetConfig::default(),
             placement: PlacementPolicy::default(),
-            record: false,
             fast_forward: true,
             watchdog_cycles: WATCHDOG_CYCLES,
             net_trace: NetTraceMode::Off,
@@ -351,12 +346,6 @@ impl MeshExperiment {
     /// Override the frame-placement policy.
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Enable per-node trace recording.
-    pub fn recorded(mut self) -> Self {
-        self.record = true;
         self
     }
 
@@ -412,36 +401,57 @@ impl MeshExperiment {
     /// untraced) this uses the parallel driver; traced, single-node, and
     /// single-thread runs use the serial loop. All paths are bit-identical.
     pub fn run(&self, program: &Program) -> MeshRunResult {
-        match self.net_trace {
-            NetTraceMode::Off if self.threads > 1 && self.nodes > 1 => self.run_parallel(program),
-            NetTraceMode::Off => self.run_with(program, &mut NoNetHooks),
-            mode => {
-                let mut rec = NetTraceRecorder::new(mode, self.nodes);
-                let mut run = self.run_with(program, &mut rec);
-                run.net_trace = Some(rec.finish());
-                run
-            }
-        }
+        self.run_batch(program, false).0
     }
 
-    /// The run loop, monomorphized over the net observation hooks: with
-    /// [`NoNetHooks`] (`H::ENABLED == false`) every hook call and every
-    /// dispatch-detection snapshot compiles away, so the untraced driver
-    /// is exactly the pre-tracing one.
-    fn run_with<H: NetHooks>(&self, program: &Program, net_hooks: &mut H) -> MeshRunResult {
-        self.run_serve_with(program, net_hooks, None).0
+    /// Run `program` with per-node trace recording and hand the logs back
+    /// beside the run — the mesh analogue of
+    /// `tamsim_core::Experiment::run_recorded`.
+    ///
+    /// One machine-run per configuration is all a cache sweep needs:
+    /// replay each node's log into `tamsim_cache::CacheBank` banks across
+    /// every geometry. Recording rides the same attempt loop as
+    /// [`MeshExperiment::run`] (queue auto-sizing restarts rebuild the
+    /// logs), so the returned run is bit-identical to an unrecorded one.
+    pub fn run_recorded(&self, program: &Program) -> MeshRecordedRun {
+        let (run, logs) = self.run_batch(program, true);
+        MeshRecordedRun { run, logs }
+    }
+
+    /// A batch run on the driver [`MeshExperiment::run`] picks; `record`
+    /// keeps one access trace per node (empty otherwise). Untraced, the
+    /// serial loop monomorphizes over [`NoNetHooks`] (`H::ENABLED ==
+    /// false`), so every net-hook call and dispatch-detection snapshot
+    /// compiles away.
+    fn run_batch(&self, program: &Program, record: bool) -> (MeshRunResult, Vec<TraceLog>) {
+        let (run, _, logs) = match self.net_trace {
+            NetTraceMode::Off if self.threads > 1 && self.nodes > 1 => {
+                self.run_parallel_serve(program, None, record)
+            }
+            NetTraceMode::Off => self.run_serve_with(program, &mut NoNetHooks, None, record),
+            mode => {
+                let mut rec = NetTraceRecorder::new(mode, self.nodes);
+                let (mut run, cells, logs) = self.run_serve_with(program, &mut rec, None, record);
+                run.net_trace = Some(rec.finish());
+                (run, cells, logs)
+            }
+        };
+        (run, logs)
     }
 
     /// The serial run loop, optionally in serve mode: with a
     /// [`ServePlan`] the batch boot is suppressed and the arrival pump
     /// injects scheduled requests instead (see `serve.rs`); the second
-    /// return value carries the per-request cells.
+    /// return value carries the per-request cells. With `record`, the
+    /// third carries one recorded access trace per node (it is empty
+    /// otherwise).
     pub(crate) fn run_serve_with<H: NetHooks>(
         &self,
         program: &Program,
         net_hooks: &mut H,
         plan: Option<&ServePlan>,
-    ) -> (MeshRunResult, Option<Vec<ReqCell>>) {
+        record: bool,
+    ) -> (MeshRunResult, Option<Vec<ReqCell>>, Vec<TraceLog>) {
         let topo = MeshTopology::for_nodes(self.nodes);
         let k = self.nodes as usize;
         let mut queue_words = self.queue_words;
@@ -475,7 +485,7 @@ impl MeshExperiment {
             let mut hooks: Vec<NodeHooks> = (0..k)
                 .map(|_| NodeHooks {
                     counts: CountingSink::new(linked.cfg.map),
-                    log: self.record.then(TraceLog::new),
+                    log: record.then(TraceLog::new),
                 })
                 .collect();
             let mut fabric = Fabric::new(topo, self.net);
@@ -909,28 +919,11 @@ impl MeshExperiment {
                     .map_or_else(|| vec![0; k], |e| e.steals_from.clone()),
                 watchdog_trips,
                 backstop_rearms,
-                logs: self
-                    .record
-                    .then(|| hooks.into_iter().map(|h| h.log.unwrap()).collect()),
                 thread_stats: None,
             };
-            return (run, serve.map(|s| s.cells));
+            let logs = hooks.into_iter().filter_map(|h| h.log).collect();
+            return (run, serve.map(|s| s.cells), logs);
         }
-    }
-
-    /// Run `program` with per-node trace recording, whatever
-    /// [`MeshExperiment::record`] says, and hand the logs back separately
-    /// — the mesh analogue of `tamsim_core::Experiment::run_recorded`.
-    ///
-    /// One machine-run per configuration is all a cache sweep needs:
-    /// replay each node's log into `tamsim_cache::CacheBank` banks across
-    /// every geometry. Recording rides the same attempt loop as
-    /// [`MeshExperiment::run`] (queue auto-sizing restarts rebuild the
-    /// logs), so the returned run is bit-identical to an unrecorded one.
-    pub fn run_recorded(&self, program: &Program) -> MeshRecordedRun {
-        let mut run = self.recorded().run(program);
-        let logs = run.logs.take().expect("recording was requested");
-        MeshRecordedRun { run, logs }
     }
 
     /// Build and seed one machine per node.

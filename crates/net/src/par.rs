@@ -21,7 +21,7 @@
 //! exactly as the serial loop does. Nodes are partitioned into contiguous
 //! chunks, one per worker; the main thread is worker 0 and owns the
 //! lowest chunk. Each cycle the main thread publishes up to two commands
-//! — [`Cmd::Step`] for phase (1), [`Cmd::Retire`] for phase (3) — via a
+//! — `Cmd::Step` for phase (1), `Cmd::Retire` for phase (3) — via a
 //! sequence-numbered round: it stores the command, bumps `go`
 //! (`Release`), runs its own chunk, then spins until every worker has
 //! published `done[t] == seq` (`Acquire`). Global fabric counters are
@@ -529,23 +529,23 @@ impl Drop for ShutdownGuard<'_> {
 }
 
 impl MeshExperiment {
-    /// The parallel run loop. Preconditions (checked by the dispatcher in
-    /// [`MeshExperiment::run`]): `threads > 1`, `nodes > 1`, untraced.
-    pub(crate) fn run_parallel(&self, program: &Program) -> MeshRunResult {
-        self.run_parallel_serve(program, None).0
-    }
-
-    /// The parallel run loop, optionally in serve mode (see `serve.rs`):
-    /// the serial window pumps arrivals exactly as the serial drivers do,
-    /// workers eject done replies through [`ServeShared`], and per-round
-    /// completion counts fold back into the main thread's [`ServeState`]
-    /// at the barrier — so completion records are bit-identical to the
-    /// serial drivers at every thread count.
+    /// The parallel run loop. Preconditions (checked by the dispatchers in
+    /// [`MeshExperiment::run`] and [`MeshExperiment::serve`]):
+    /// `threads > 1`, `nodes > 1`, untraced.
+    ///
+    /// Optionally in serve mode (see `serve.rs`): the serial window pumps
+    /// arrivals exactly as the serial drivers do, workers eject done
+    /// replies through [`ServeShared`], and per-round completion counts
+    /// fold back into the main thread's [`ServeState`] at the barrier — so
+    /// completion records are bit-identical to the serial drivers at every
+    /// thread count. Returns what the serial loop returns, recorded
+    /// per-node traces included when `record` is set.
     pub(crate) fn run_parallel_serve(
         &self,
         program: &Program,
         plan: Option<&ServePlan>,
-    ) -> (MeshRunResult, Option<Vec<ReqCell>>) {
+        record: bool,
+    ) -> (MeshRunResult, Option<Vec<ReqCell>>, Vec<TraceLog>) {
         let topo = MeshTopology::for_nodes(self.nodes);
         let k = self.nodes as usize;
         let t_count = (self.threads as usize).min(k);
@@ -571,7 +571,7 @@ impl MeshExperiment {
             let mut hooks: Vec<NodeHooks> = (0..k)
                 .map(|_| NodeHooks {
                     counts: CountingSink::new(linked.cfg.map),
-                    log: self.record.then(TraceLog::new),
+                    log: record.then(TraceLog::new),
                 })
                 .collect();
             let mut fabric = Fabric::new(topo, self.net);
@@ -987,12 +987,10 @@ impl MeshExperiment {
                             .map_or_else(|| vec![0; k], |e| e.steals_from.clone()),
                         watchdog_trips,
                         backstop_rearms,
-                        logs: self
-                            .record
-                            .then(|| hooks.into_iter().map(|h| h.log.unwrap()).collect()),
                         thread_stats: Some(thread_stats),
                     };
-                    return (run, serve.map(|s| s.cells));
+                    let logs = hooks.into_iter().filter_map(|h| h.log).collect();
+                    return (run, serve.map(|s| s.cells), logs);
                 }
             }
         }

@@ -512,10 +512,10 @@ impl MeshExperiment {
     /// bit-identical across all drivers and thread counts.
     pub fn serve(&self, program: &Program, cfg: &ServeConfig) -> ServeRunResult {
         let plan = ServePlan::build(cfg, self.nodes);
-        let (mesh, cells) = if self.threads > 1 && self.nodes > 1 {
-            self.run_parallel_serve(program, Some(&plan))
+        let (mesh, cells, _) = if self.threads > 1 && self.nodes > 1 {
+            self.run_parallel_serve(program, Some(&plan), false)
         } else {
-            self.run_serve_with(program, &mut NoNetHooks, Some(&plan))
+            self.run_serve_with(program, &mut NoNetHooks, Some(&plan), false)
         };
         let cells = cells.expect("serve run returns request cells");
         // Conservation: the run only quiesces drained, so every request

@@ -274,3 +274,21 @@ fn recorded_traces_are_bit_identical() {
         }
     }
 }
+
+/// Recording composes with causal net tracing: the traced serial loop
+/// records the same per-node traces as the untraced one, and still hands
+/// back its net trace.
+#[test]
+fn recording_under_net_tracing_matches_untraced_recording() {
+    let program = programs::fib(11);
+    let exp = MeshExperiment::new(Implementation::Am, 4);
+    let plain = exp.run_recorded(&program);
+    let traced = exp.traced(NetTraceMode::Ring(256)).run_recorded(&program);
+    let ctx = "fib(11) under Am on 4 nodes, traced";
+    assert!(traced.run.net_trace.is_some(), "net trace missing: {ctx}");
+    assert_bit_identical(&plain.run, &traced.run, ctx);
+    assert_eq!(plain.logs.len(), traced.logs.len());
+    for (n, (p, t)) in plain.logs.iter().zip(&traced.logs).enumerate() {
+        assert!(p.iter().eq(t.iter()), "node {n} trace events differ: {ctx}");
+    }
+}

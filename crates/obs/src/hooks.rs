@@ -1,15 +1,15 @@
 //! Capture side of the profiler: a sink that rides along a machine run.
 //!
-//! [`ProfileHooks`] implements the two trace-level traits
-//! ([`TraceSink`] + [`MarkSink`]) and nothing machine-specific, so the
-//! experiment driver can feed it through exactly the same path as any
-//! other sink. A profiled run therefore *is* an ordinary run with an
-//! observer attached — cycle counts and results are identical by
-//! construction, which the differential tests assert.
+//! [`ProfileHooks`] implements the trace-level observer trait
+//! ([`Hooks`]) and nothing machine-specific, so the experiment driver can
+//! feed it through exactly the same path as any other sink. A profiled
+//! run therefore *is* an ordinary run with an observer attached — cycle
+//! counts and results are identical by construction, which the
+//! differential tests assert.
 
 use std::collections::HashMap;
 
-use tamsim_trace::{Access, AccessKind, Mark, MarkLog, MarkRecord, MarkSink, Priority, TraceSink};
+use tamsim_trace::{Access, AccessKind, Hooks, Mark, MarkLog, MarkRecord, Priority};
 
 /// A sink that captures everything the profiler needs from one run: the
 /// granularity stream (marks + per-priority cycle counters + queue
@@ -39,7 +39,7 @@ impl ProfileHooks {
     }
 }
 
-impl TraceSink for ProfileHooks {
+impl Hooks for ProfileHooks {
     #[inline]
     fn access(&mut self, access: Access) {
         self.accesses += 1;
@@ -47,9 +47,7 @@ impl TraceSink for ProfileHooks {
             *self.fetch_counts.entry(access.addr).or_insert(0) += 1;
         }
     }
-}
 
-impl MarkSink for ProfileHooks {
     #[inline]
     fn instruction(&mut self, pri: Priority, pc: u32) {
         self.marks.instruction(pri, pc);

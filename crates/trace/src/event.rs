@@ -63,66 +63,6 @@ pub enum Mark {
     SysEnd,
 }
 
-/// Extension of [`crate::TraceSink`] for consumers that also want the
-/// granularity stream: instruction ticks, marks, and the queue-occupancy
-/// samples the machine takes at each mark.
-///
-/// All methods default to no-ops so that access-only sinks (the cache
-/// simulator, counters) opt out for free. The machine driver delivers the
-/// callbacks in this order around each mark: any number of
-/// [`MarkSink::instruction`] ticks, then one [`MarkSink::queue_sample`],
-/// then the [`MarkSink::mark`] itself.
-pub trait MarkSink {
-    /// One instruction executed at `pri` with program counter `pc`.
-    #[inline]
-    fn instruction(&mut self, _pri: Priority, _pc: u32) {}
-
-    /// A run of `n` consecutive instructions at `pri`, program counters
-    /// `start_pc`, `start_pc + 4`, ... — the batched form emitted by the
-    /// decoded-dispatch executor. The default expansion delivers exactly
-    /// the per-instruction ticks, so non-overriding sinks observe an
-    /// identical stream; counters (e.g. [`MarkLog`]) override it with a
-    /// bulk add.
-    #[inline]
-    fn instruction_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
-        for k in 0..n {
-            self.instruction(pri, start_pc + k * 4);
-        }
-    }
-
-    /// Queue occupancy in words per priority, sampled immediately before
-    /// each mark.
-    #[inline]
-    fn queue_sample(&mut self, _used_words: [u32; 2]) {}
-
-    /// A granularity marker with the sampled frame pointer and the
-    /// priority level it executed at.
-    #[inline]
-    fn mark(&mut self, _mark: Mark, _frame: u32, _pri: Priority) {}
-}
-
-impl<S: MarkSink + ?Sized> MarkSink for &mut S {
-    #[inline]
-    fn instruction(&mut self, pri: Priority, pc: u32) {
-        (**self).instruction(pri, pc)
-    }
-
-    #[inline]
-    fn instruction_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
-        (**self).instruction_run(pri, start_pc, n)
-    }
-
-    #[inline]
-    fn queue_sample(&mut self, used_words: [u32; 2]) {
-        (**self).queue_sample(used_words)
-    }
-
-    #[inline]
-    fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
-        (**self).mark(mark, frame, pri)
-    }
-}
-
 /// One retained mark with enough context to rebuild timelines and
 /// granularity statistics offline.
 ///
@@ -154,7 +94,8 @@ impl MarkRecord {
     }
 }
 
-/// A reusable accumulator that turns the [`MarkSink`] callback stream into
+/// A reusable accumulator that turns the granularity half of the
+/// [`crate::Hooks`] stream (instruction ticks, queue samples, marks) into
 /// a vector of [`MarkRecord`]s plus per-priority cycle totals.
 ///
 /// Embedded by the profiler's capture hooks, and teed beside a
@@ -181,7 +122,7 @@ impl MarkLog {
         self.cycles[0] + self.cycles[1]
     }
 
-    /// Discard everything (overflow-retry re-records from scratch).
+    /// Discard everything, for reuse by the next recording.
     pub fn clear(&mut self) {
         self.records.clear();
         self.cycles = [0, 0];
@@ -191,19 +132,17 @@ impl MarkLog {
 
 /// A pure mark recorder: accesses flow past it untouched, so it composes
 /// into a [`crate::Tee`] chain next to any access sink.
-impl crate::TraceSink for MarkLog {
+impl crate::Hooks for MarkLog {
     #[inline]
     fn access(&mut self, _access: crate::Access) {}
-}
 
-impl MarkSink for MarkLog {
     #[inline]
     fn instruction(&mut self, pri: Priority, _pc: u32) {
         self.cycles[pri.index()] += 1;
     }
 
     #[inline]
-    fn instruction_run(&mut self, pri: Priority, _start_pc: u32, n: u32) {
+    fn fetch_run(&mut self, pri: Priority, _start_pc: u32, n: u32) {
         self.cycles[pri.index()] += n as u64;
     }
 
@@ -227,6 +166,7 @@ impl MarkSink for MarkLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Hooks;
 
     #[test]
     fn priorities_are_ordered() {
@@ -267,8 +207,12 @@ mod tests {
 
     #[test]
     fn default_mark_sink_methods_are_inert() {
+        // An access-only observer ignores the granularity stream: its
+        // `instruction`, `queue_sample` and `mark` are the no-op defaults.
         struct Inert;
-        impl MarkSink for Inert {}
+        impl Hooks for Inert {
+            fn access(&mut self, _access: crate::Access) {}
+        }
         let mut s = Inert;
         s.instruction(Priority::Low, 0);
         s.queue_sample([1, 2]);

@@ -1,9 +1,9 @@
-//! Observation hooks: how consumers watch a machine run.
+//! The observer trait: what a consumer of a machine run sees, in what
+//! order, and the no-op observer.
 
-use crate::{Mark, Priority};
-use tamsim_trace::{Access, MarkSink, TraceSink};
+use crate::{Access, Mark, Priority};
 
-/// Callbacks invoked by the machine during execution.
+/// A consumer of the event stream of one machine run.
 ///
 /// # Contract
 ///
@@ -13,10 +13,16 @@ use tamsim_trace::{Access, MarkSink, TraceSink};
 /// are zero-cost pseudo-ops: they emit **no** fetch and **no** instruction
 /// tick, only one [`Hooks::queue_sample`] (queue occupancy in words per
 /// priority) immediately followed by one [`Hooks::mark`]. Implementations
-/// that forward the stream (adapters, tees, drivers) must forward *all
-/// four* callbacks — dropping `instruction`/`mark` silently destroys the
-/// granularity data the paper's analysis is built on, which is exactly the
-/// bug [`SinkHooks`] used to have.
+/// that forward the stream (tees, drivers) must forward *every* callback:
+/// dropping `instruction`/`mark` silently destroys the granularity data
+/// the paper's analysis is built on.
+///
+/// Everything but `access` defaults to a no-op (or, for
+/// [`Hooks::fetch_run`], to the per-instruction expansion), so an
+/// access-only consumer — the cache simulator, the access counters, the
+/// trace log — needs only `access`. Observers are driven
+/// single-threaded per machine run; parallelism in the harness is across
+/// independent runs.
 pub trait Hooks {
     /// One memory access (instruction fetch or data read/write).
     fn access(&mut self, access: Access);
@@ -33,8 +39,9 @@ pub trait Hooks {
     /// reproduces the per-instruction contract exactly — one fetch then
     /// one tick per op, in address order — so any implementation that
     /// leaves it alone observes the per-instruction stream.
-    /// Implementations may override it to process the run in bulk, but
-    /// only if their observable output stays equal to the default
+    /// Implementations may override it to process the run in bulk (the
+    /// [`crate::TraceLog`] recorder, [`crate::CountingSink`], [`crate::MarkLog`]),
+    /// but only if their observable output stays equal to the default
     /// expansion's.
     #[inline]
     fn fetch_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
@@ -68,40 +75,6 @@ impl Hooks for NoHooks {
     fn fetch_run(&mut self, _pri: Priority, _start_pc: u32, _n: u32) {}
 }
 
-/// Adapt any [`TraceSink`] + [`MarkSink`] into [`Hooks`], forwarding the
-/// complete event stream: accesses, instruction ticks, queue samples, and
-/// marks.
-///
-/// Access-only sinks (a [`tamsim_trace::TraceLog`], a cache bank) opt
-/// out of the granularity stream by relying on the default no-op
-/// [`MarkSink`] methods; nothing is dropped silently by the adapter
-/// itself, so a sink that keeps marks (a [`tamsim_trace::MarkLog`]) sees
-/// every one.
-#[derive(Debug, Default, Clone)]
-pub struct SinkHooks<S>(pub S);
-
-impl<S: TraceSink + MarkSink> Hooks for SinkHooks<S> {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        self.0.access(access);
-    }
-
-    #[inline]
-    fn instruction(&mut self, pri: Priority, pc: u32) {
-        self.0.instruction(pri, pc);
-    }
-
-    #[inline]
-    fn queue_sample(&mut self, used_words: [u32; 2]) {
-        self.0.queue_sample(used_words);
-    }
-
-    #[inline]
-    fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
-        self.0.mark(mark, frame, pri);
-    }
-}
-
 impl<H: Hooks + ?Sized> Hooks for &mut H {
     #[inline]
     fn access(&mut self, access: Access) {
@@ -132,37 +105,14 @@ impl<H: Hooks + ?Sized> Hooks for &mut H {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tamsim_trace::{MarkLog, Tee, VecSink};
-
-    #[test]
-    fn sink_hooks_forwards_accesses() {
-        let mut h = SinkHooks(VecSink::new());
-        h.access(Access::read(8));
-        h.instruction(Priority::Low, 0);
-        h.mark(Mark::ThreadEnd, 0, Priority::Low);
-        assert_eq!(h.0.events, vec![Access::read(8)]);
-    }
-
-    #[test]
-    fn sink_hooks_forwards_the_granularity_stream() {
-        // A Tee of an access recorder and a mark recorder sees both halves
-        // of the stream through one adapter.
-        let mut h = SinkHooks(Tee::new(VecSink::new(), MarkLog::new()));
-        h.access(Access::fetch(0));
-        h.instruction(Priority::Low, 0);
-        h.queue_sample([7, 0]);
-        h.mark(Mark::ThreadEnd, 0x40, Priority::Low);
-        assert_eq!(h.0.a.events.len(), 1);
-        assert_eq!(h.0.b.records.len(), 1);
-        assert_eq!(h.0.b.records[0].queue_words, [7, 0]);
-        assert_eq!(h.0.b.cycles, [1, 0]);
-    }
 
     #[test]
     fn no_hooks_is_inert() {
         let mut h = NoHooks;
         h.access(Access::fetch(0));
         h.instruction(Priority::High, 4);
+        h.fetch_run(Priority::Low, 8, 2);
         h.queue_sample([0, 0]);
+        h.mark(Mark::SysEnd, 0, Priority::High);
     }
 }

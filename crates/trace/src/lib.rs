@@ -1,9 +1,13 @@
-//! Memory-access events, address-space regions, counters, and fan-out sinks.
+//! Memory-access events, address-space regions, counters, and the observer
+//! trait every consumer of a machine run implements.
 //!
 //! This crate is the narrow waist of the simulator: the MDP machine model
-//! (`tamsim-mdp`) produces a stream of [`Access`] events, and every consumer
-//! — the cache simulator, the granularity statistics, the per-region access
-//! counters of Section 3.1 of the paper — implements [`TraceSink`].
+//! (`tamsim-mdp`) produces one stream of [`Access`] events, instruction
+//! ticks and granularity [`Mark`]s, and every consumer — the cache
+//! simulator, the granularity statistics, the per-region access counters
+//! of Section 3.1 of the paper, the profiler, the invariant checker —
+//! implements the one observer trait, [`Hooks`], which also states the
+//! order the events arrive in.
 //!
 //! The paper (Spertus & Dally, PPOPP 1995, Section 3) feeds "instructions
 //! and traces generated by the instruction simulator into a cache
@@ -15,6 +19,7 @@
 pub mod access;
 pub mod counts;
 pub mod event;
+pub mod hooks;
 pub mod log;
 pub mod par;
 pub mod region;
@@ -22,11 +27,12 @@ pub mod sink;
 
 pub use access::{Access, AccessKind};
 pub use counts::AccessCounts;
-pub use event::{Mark, MarkLog, MarkRecord, MarkSink, Priority};
+pub use event::{Mark, MarkLog, MarkRecord, Priority};
+pub use hooks::{Hooks, NoHooks};
 pub use log::TraceLog;
 pub use par::{par_map, resolve_jobs};
 pub use region::{MemoryMap, Region};
-pub use sink::{CountingSink, FnSink, NullSink, Tee, TraceSink, VecSink};
+pub use sink::{CountingSink, Tee, VecSink};
 
 /// Number of bytes in a machine word.
 ///

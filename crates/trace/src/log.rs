@@ -17,7 +17,7 @@
 //! through it unrecorded; a consumer that needs marks tees a
 //! [`crate::MarkLog`] beside it.
 
-use crate::{Access, AccessKind, MarkSink, TraceSink};
+use crate::{Access, AccessKind, Hooks, Priority};
 
 /// Events per chunk (256 KiB of packed events). Chunking keeps appends
 /// amortized O(1) without ever copying previously recorded events the way
@@ -49,9 +49,9 @@ fn decode(word: u32) -> Access {
 
 /// An in-memory recording of one machine run's access stream.
 ///
-/// Implements [`TraceSink`] for recording; [`TraceLog::iter`] replays the
+/// Implements [`Hooks`] for recording; [`TraceLog::iter`] replays the
 /// events in the recorded order. One event costs 4 bytes. Its
-/// [`MarkSink`] methods are the default no-ops: the log keeps accesses
+/// granularity callbacks are the default no-ops: the log keeps accesses
 /// and nothing else.
 #[derive(Debug, Default, Clone)]
 pub struct TraceLog {
@@ -75,8 +75,7 @@ impl TraceLog {
 
     /// Whether no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        // After `clear` one empty chunk may remain allocated.
-        self.chunks.last().is_none_or(|c| c.is_empty())
+        self.len() == 0
     }
 
     /// Bytes of packed event storage currently in use.
@@ -98,7 +97,7 @@ impl TraceLog {
     }
 
     /// Discard all recorded events, keeping one chunk's allocation for
-    /// reuse (the overflow-retry path re-records from scratch).
+    /// reuse by the next recording.
     pub fn clear(&mut self) {
         self.chunks.truncate(1);
         if let Some(first) = self.chunks.first_mut() {
@@ -150,20 +149,18 @@ impl TraceLog {
     }
 }
 
-impl TraceSink for TraceLog {
+// The granularity stream is not recorded (see the module docs).
+impl Hooks for TraceLog {
     #[inline]
     fn access(&mut self, access: Access) {
         self.push(access);
     }
 
     #[inline]
-    fn fetch_run(&mut self, start: u32, n: u32) {
-        self.push_fetch_run(start, n);
+    fn fetch_run(&mut self, _pri: Priority, start_pc: u32, n: u32) {
+        self.push_fetch_run(start_pc, n);
     }
 }
-
-// The granularity stream is not recorded (see the module docs).
-impl MarkSink for TraceLog {}
 
 /// Iterator over a [`TraceLog`]'s events in recorded order.
 #[derive(Debug, Clone)]
@@ -262,12 +259,11 @@ mod tests {
 
     #[test]
     fn mark_sink_calls_leave_the_log_unchanged() {
-        use crate::{Mark, Priority};
+        use crate::Mark;
         let mut log = TraceLog::new();
         log.access(Access::fetch(0));
         log.access(Access::write(0x40));
         log.instruction(Priority::Low, 0);
-        log.instruction_run(Priority::High, 0x100, 5);
         log.queue_sample([5, 0]);
         log.mark(Mark::ThreadEnd, 0x80, Priority::Low);
         assert_eq!(log.len(), 2);

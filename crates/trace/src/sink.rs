@@ -1,44 +1,7 @@
-//! Trace sinks: consumers of the machine model's access stream.
+//! Stock observers of the machine model's event stream, each an
+//! implementation of [`Hooks`].
 
-use crate::{Access, AccessCounts, Mark, MarkSink, MemoryMap, Priority};
-
-/// A consumer of memory-access events.
-///
-/// The machine model calls [`TraceSink::access`] once per instruction fetch
-/// and once per data read/write, in program order. Implementors include the
-/// cache simulator, access counters, and test recorders. Sinks are driven
-/// single-threaded per machine run; parallelism in the harness is across
-/// independent runs.
-pub trait TraceSink {
-    /// Consume one access event.
-    fn access(&mut self, access: Access);
-
-    /// Consume a run of `n` consecutive instruction fetches starting at
-    /// `start` (addresses `start`, `start + 4`, ...).
-    ///
-    /// The decoded-dispatch executor batches straight-line fetch runs into
-    /// one call; the default expansion delivers exactly the events the
-    /// per-instruction path would, so sinks that do not override this are
-    /// bit-identical either way. Sinks with cheap bulk handling (the
-    /// [`crate::TraceLog`] recorder, [`CountingSink`]) override it.
-    #[inline]
-    fn fetch_run(&mut self, start: u32, n: u32) {
-        for k in 0..n {
-            self.access(Access::fetch(start + k * 4));
-        }
-    }
-}
-
-/// A sink that discards everything (pure instruction-count runs).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn access(&mut self, _access: Access) {}
-}
-
-impl MarkSink for NullSink {}
+use crate::{Access, AccessCounts, Hooks, Mark, MemoryMap, Priority};
 
 /// A sink that records every access; for tests and small traces only.
 #[derive(Debug, Default, Clone)]
@@ -54,14 +17,12 @@ impl VecSink {
     }
 }
 
-impl TraceSink for VecSink {
+impl Hooks for VecSink {
     #[inline]
     fn access(&mut self, access: Access) {
         self.events.push(access);
     }
 }
-
-impl MarkSink for VecSink {}
 
 /// A sink that counts accesses per region and kind.
 #[derive(Debug, Clone)]
@@ -81,7 +42,7 @@ impl CountingSink {
     }
 }
 
-impl TraceSink for CountingSink {
+impl Hooks for CountingSink {
     #[inline]
     fn access(&mut self, access: Access) {
         // Checked classification: an address above the modeled top of
@@ -98,7 +59,7 @@ impl TraceSink for CountingSink {
     }
 
     #[inline]
-    fn fetch_run(&mut self, start: u32, n: u32) {
+    fn fetch_run(&mut self, _pri: Priority, start: u32, n: u32) {
         if n == 0 {
             return;
         }
@@ -120,29 +81,28 @@ impl TraceSink for CountingSink {
     }
 }
 
-impl MarkSink for CountingSink {}
-
-/// Fan one access stream out to two sinks.
+/// Fan one event stream out to two observers.
 ///
-/// Compose `Tee`s to feed any number of consumers in a single machine run;
-/// the experiment driver uses this to feed the cache bank and the access
-/// counters simultaneously.
+/// Compose `Tee`s to feed any number of consumers in a single machine
+/// run. Every callback, [`Hooks::fetch_run`] batches included, reaches
+/// both sides whole, so each side's own bulk path (or its default
+/// expansion) handles the batch.
 #[derive(Debug, Default, Clone)]
 pub struct Tee<A, B> {
-    /// First downstream sink.
+    /// First downstream observer.
     pub a: A,
-    /// Second downstream sink.
+    /// Second downstream observer.
     pub b: B,
 }
 
 impl<A, B> Tee<A, B> {
-    /// Combine two sinks.
+    /// Combine two observers.
     pub fn new(a: A, b: B) -> Self {
         Tee { a, b }
     }
 }
 
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
+impl<A: Hooks, B: Hooks> Hooks for Tee<A, B> {
     #[inline]
     fn access(&mut self, access: Access) {
         self.a.access(access);
@@ -150,23 +110,15 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
     }
 
     #[inline]
-    fn fetch_run(&mut self, start: u32, n: u32) {
-        self.a.fetch_run(start, n);
-        self.b.fetch_run(start, n);
-    }
-}
-
-impl<A: MarkSink, B: MarkSink> MarkSink for Tee<A, B> {
-    #[inline]
     fn instruction(&mut self, pri: Priority, pc: u32) {
         self.a.instruction(pri, pc);
         self.b.instruction(pri, pc);
     }
 
     #[inline]
-    fn instruction_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
-        self.a.instruction_run(pri, start_pc, n);
-        self.b.instruction_run(pri, start_pc, n);
+    fn fetch_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
+        self.a.fetch_run(pri, start_pc, n);
+        self.b.fetch_run(pri, start_pc, n);
     }
 
     #[inline]
@@ -179,30 +131,6 @@ impl<A: MarkSink, B: MarkSink> MarkSink for Tee<A, B> {
     fn mark(&mut self, mark: Mark, frame: u32, pri: Priority) {
         self.a.mark(mark, frame, pri);
         self.b.mark(mark, frame, pri);
-    }
-}
-
-/// Adapt a closure into a sink.
-pub struct FnSink<F: FnMut(Access)>(pub F);
-
-impl<F: FnMut(Access)> TraceSink for FnSink<F> {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        (self.0)(access);
-    }
-}
-
-impl<F: FnMut(Access)> MarkSink for FnSink<F> {}
-
-impl<S: TraceSink + ?Sized> TraceSink for &mut S {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        (**self).access(access);
-    }
-
-    #[inline]
-    fn fetch_run(&mut self, start: u32, n: u32) {
-        (**self).fetch_run(start, n);
     }
 }
 
@@ -252,24 +180,20 @@ mod tests {
 
     #[test]
     fn tee_forwards_marks_to_both_sinks() {
-        let mut t = Tee::new(crate::MarkLog::new(), crate::MarkLog::new());
+        let side = || Tee::new(VecSink::new(), crate::MarkLog::new());
+        let mut t = Tee::new(side(), side());
         t.instruction(Priority::Low, 0);
+        t.fetch_run(Priority::High, 0x100, 3);
         t.queue_sample([2, 0]);
         t.mark(Mark::ThreadEnd, 0x10, Priority::Low);
-        assert_eq!(t.a.records, t.b.records);
-        assert_eq!(t.a.records.len(), 1);
-        assert_eq!(t.a.records[0].queue_words, [2, 0]);
-    }
-
-    #[test]
-    fn fn_sink_invokes_closure() {
-        let mut n = 0u32;
-        {
-            let mut s = FnSink(|a: Access| n += a.addr);
-            s.access(Access::read(4));
-            s.access(Access::read(6));
+        let fetches: Vec<Access> = (0..3).map(|k| Access::fetch(0x100 + 4 * k)).collect();
+        for side in [&t.a, &t.b] {
+            assert_eq!(side.a.events, fetches);
+            assert_eq!(side.b.cycles, [1, 3]);
+            assert_eq!(side.b.records.len(), 1);
+            assert_eq!(side.b.records[0].cycles, [1, 3]);
+            assert_eq!(side.b.records[0].queue_words, [2, 0]);
         }
-        assert_eq!(n, 10);
     }
 
     #[test]

@@ -125,8 +125,8 @@ impl std::ops::AddAssign for CacheSummary {
 /// not counting memory access time" and comparisons use "the number of
 /// total cycles (including miss penalties)". Every instruction costs one
 /// base cycle; every I- or D-cache miss adds `miss_penalty`. Charging
-/// write-back traffic is off by default (the paper does not charge it) and
-/// available for the ablation bench.
+/// write-back traffic is off by default (the paper does not charge it); the
+/// `writebacks` rows of `results/ablations.csv` turn it on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleModel {
     /// Added cycles per cache miss.

@@ -18,7 +18,10 @@ use tamsim_tam::Program;
 
 /// One-line descriptions for `--help` and the bare-invocation listing.
 const COMMANDS: &[(&str, &str)] = &[
-    ("all", "regenerate every table and figure below"),
+    (
+        "all",
+        "regenerate every table and figure below, plus ablations.csv and the mesh and serve sweeps",
+    ),
     ("table1", "TAM-construct to MDP-mechanism mapping"),
     ("table2", "granularity + cycle ratios at 8K 4-way"),
     ("figure1", "scheduling-order contrast"),
@@ -836,19 +839,19 @@ fn warm_allocator() {
 /// have a trajectory to compare against. The summary names the host (its
 /// cores and CPU model): every time in it depends on the host.
 fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path) {
-    let impls = [Implementation::Md, Implementation::Am];
+    let experiments = [Implementation::Md, Implementation::Am].map(Experiment::new);
     let geometries = paper_sweep();
     let n_configs = geometries.len();
     eprintln!(
         "perf: {} programs x {} impls over {} cache configs",
         suite.len(),
-        impls.len(),
+        experiments.len(),
         geometries.len()
     );
     warm_allocator();
 
     let t0 = Instant::now();
-    let (recorded, phases) = SuiteData::collect_timed(suite.to_vec(), &impls, geometries);
+    let (recorded, phases) = SuiteData::collect_timed(suite.to_vec(), &experiments, geometries);
     let recorded_seconds = t0.elapsed().as_secs_f64();
     emit_series(
         dir,
@@ -877,7 +880,7 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path) {
          \"host_cores\": {},\n  \"host_cpu\": \"{}\"\n}}\n",
         if small { "small" } else { "paper" },
         suite.len(),
-        impls.len(),
+        experiments.len(),
         n_configs,
         phases.events,
         recorded_seconds,
@@ -1192,7 +1195,7 @@ fn main() {
         let t0 = Instant::now();
         let data = SuiteData::collect(
             suite.clone(),
-            &[Implementation::Md, Implementation::Am],
+            &[Implementation::Md, Implementation::Am].map(Experiment::new),
             geometries,
         );
         eprintln!(
@@ -1358,6 +1361,14 @@ fn main() {
         );
     }
     if all {
+        // Table 2 under each design-choice ablation: two more collections
+        // at its one geometry (tests/golden/ablations.csv).
+        emit(
+            &dir,
+            "ablations",
+            "Ablations: Table 2's MD/AM ratios under each design choice (8K 4-way, 64B blocks)",
+            &metrics::ablations(&suite, data.as_ref().unwrap()),
+        );
         // Mesh node-count sweep: fib plus two paper benchmarks across
         // 1/2/4/8 nodes. Deterministic, so the CSV is golden-gated
         // (tests/golden/mesh_nodes.csv).

@@ -381,7 +381,7 @@ pub struct RunResult {
 /// hierarchy" (dedicated on-chip queue SRAM), so queue words do not
 /// contend for cache lines. Disabling the bypass models a CM-5-style
 /// network interface attached below the cache (the paper's footnote
-/// contrast) and is exercised by the ablation bench.
+/// contrast); the `queue_sram` rows of `results/ablations.csv` enable it.
 struct DriverHooks<'a, S: Hooks> {
     counts: CountingSink,
     gran: Granularity,
@@ -449,8 +449,8 @@ pub struct Experiment {
     /// system ("even under software control, cache space and memory
     /// bandwidth is required to buffer most arriving data"). Enabling it
     /// models the J-Machine's dedicated on-chip queue SRAM instead — an
-    /// ablation that mostly erases the AM implementation's high-penalty
-    /// advantage (see EXPERIMENTS.md).
+    /// ablation that erases the AM implementation's high-penalty advantage
+    /// (the `queue_sram` rows of `results/ablations.csv`).
     pub queue_bypass: bool,
 }
 

@@ -136,17 +136,6 @@ pub enum DOp {
     Wild { addr: u32, user: bool },
 }
 
-impl DOp {
-    /// Whether this decoded op is a fused two-instruction superinstruction.
-    #[inline]
-    pub fn is_fused(&self) -> bool {
-        matches!(
-            self,
-            DOp::CmpBr { .. } | DOp::LdAlu { .. } | DOp::MovISt { .. }
-        )
-    }
-}
-
 /// A fully pre-decoded code image: every instruction of both regions in one
 /// dense array, plus the side table of `SEND` operand lists.
 ///

@@ -1,9 +1,9 @@
 //! Disassembly: human-readable listings of code images.
 //!
-//! Used by `tamsim disasm`, by tests that assert on generated code shapes,
-//! and for debugging lowering changes.
+//! Used by `tamsim disasm` and for debugging lowering changes. Listings
+//! render the linked [`CodeImage`], from which the machine's pre-decoded
+//! form ([`crate::DecodedImage`]) is built.
 
-use crate::decode::{DOp, DOperand, DSendSrc, DecodedImage, INVALID_TARGET};
 use crate::{CodeImage, MOp, Mark, Operand, SendSrc};
 
 fn reg(r: crate::Reg) -> String {
@@ -11,30 +11,6 @@ fn reg(r: crate::Reg) -> String {
         14 => "link".to_string(),
         15 => "fp".to_string(),
         n => format!("r{n}"),
-    }
-}
-
-/// Register rendering for decoded ops, whose register fields are already
-/// flat indices.
-fn dreg(n: u8) -> String {
-    match n {
-        14 => "link".to_string(),
-        15 => "fp".to_string(),
-        n => format!("r{n}"),
-    }
-}
-
-fn doperand(o: &DOperand) -> String {
-    match o {
-        DOperand::Reg(n) => dreg(*n),
-        DOperand::Imm(i) => format!("#{i}"),
-    }
-}
-
-fn dsend_src(s: &DSendSrc) -> String {
-    match s {
-        DSendSrc::Reg(n) => dreg(*n),
-        DSendSrc::Imm(w) => format!("#{:#x}", w.bits()),
     }
 }
 
@@ -123,153 +99,13 @@ pub fn disasm_op(op: &MOp) -> String {
     }
 }
 
-/// Branch-target suffix: decoded index plus the raw code address, or a
-/// wild-jump annotation when the target lies outside the image.
-fn dtarget(ti: u32, t: u32) -> String {
-    if ti == INVALID_TARGET {
-        format!("{t:#x} <wild>")
-    } else {
-        format!("{t:#x}")
-    }
-}
-
-/// Render one decoded operation as assembly-like text.
-///
-/// Fused superinstructions render as a single `a+b`-mnemonic line so
-/// shrinker reproducers and fuzz failure bundles stay readable. The image
-/// is needed to resolve `SEND` operand side-tables.
-pub fn disasm_decoded_op(dec: &DecodedImage, op: &DOp) -> String {
-    match op {
-        DOp::MovI { d, v } => format!("movi  {}, #{:#x}", dreg(*d), v.bits()),
-        DOp::Mov { d, s } => format!("mov   {}, {}", dreg(*d), dreg(*s)),
-        DOp::AluRR { op, d, a, b } => format!(
-            "{:<5} {}, {}, {}",
-            format!("{op:?}").to_lowercase(),
-            dreg(*d),
-            dreg(*a),
-            dreg(*b)
-        ),
-        DOp::AluRI { op, d, a, imm } => format!(
-            "{:<5} {}, {}, #{imm}",
-            format!("{op:?}").to_lowercase(),
-            dreg(*d),
-            dreg(*a)
-        ),
-        DOp::FAlu { op, d, a, b } => format!(
-            "{:<5} {}, {}, {}",
-            format!("{op:?}").to_lowercase(),
-            dreg(*d),
-            dreg(*a),
-            dreg(*b)
-        ),
-        DOp::Ld { d, base, off } => format!("ld    {}, [{}{off:+}]", dreg(*d), dreg(*base)),
-        DOp::LdA { d, addr } => format!("ld    {}, [{addr:#x}]", dreg(*d)),
-        DOp::St { s, base, off } => format!("st    {}, [{}{off:+}]", dreg(*s), dreg(*base)),
-        DOp::StA { s, addr } => format!("st    {}, [{addr:#x}]", dreg(*s)),
-        DOp::LdMsg { d, idx } => format!("ldmsg {}, msg[{idx}]", dreg(*d)),
-        DOp::LdMsgIdx { d, idx } => format!("ldmsg {}, msg[{}]", dreg(*d), dreg(*idx)),
-        DOp::Br { ti, t } => format!("br    {}", dtarget(*ti, *t)),
-        DOp::Bz { c, ti, t } => format!("bz    {}, {}", dreg(*c), dtarget(*ti, *t)),
-        DOp::Bnz { c, ti, t } => format!("bnz   {}, {}", dreg(*c), dtarget(*ti, *t)),
-        DOp::Jr { s } => format!("jr    {}", dreg(*s)),
-        DOp::Call { ti, t } => format!("call  {}", dtarget(*ti, *t)),
-        DOp::Ret => "ret".to_string(),
-        DOp::Send { pri, sid } => {
-            let words: Vec<String> = dec.send_srcs(*sid).iter().map(dsend_src).collect();
-            format!(
-                "send.{} [{}]",
-                if *pri == crate::Priority::High {
-                    "hi"
-                } else {
-                    "lo"
-                },
-                words.join(", ")
-            )
-        }
-        DOp::Suspend => "suspend".to_string(),
-        DOp::EnableInt => "eint".to_string(),
-        DOp::DisableInt => "dint".to_string(),
-        DOp::Halt => "halt".to_string(),
-        DOp::Mark(m) => mark_text(m),
-        DOp::CmpBr {
-            op,
-            d,
-            a,
-            b,
-            bnz,
-            ti,
-            t,
-        } => format!(
-            "{}+{} {}, {}, {}, {}",
-            format!("{op:?}").to_lowercase(),
-            if *bnz { "bnz" } else { "bz" },
-            dreg(*d),
-            dreg(*a),
-            doperand(b),
-            dtarget(*ti, *t)
-        ),
-        DOp::LdAlu {
-            ld_d,
-            base,
-            off,
-            op,
-            d,
-            a,
-            b,
-        } => format!(
-            "ld+{} {}, [{}{off:+}]; {}, {}, {}",
-            format!("{op:?}").to_lowercase(),
-            dreg(*ld_d),
-            dreg(*base),
-            dreg(*d),
-            dreg(*a),
-            doperand(b)
-        ),
-        DOp::MovISt { d, v, base, off } => format!(
-            "movi+st {}, #{:#x} -> [{}{off:+}]",
-            dreg(*d),
-            v.bits(),
-            dreg(*base)
-        ),
-        DOp::Wild { addr, user } => format!(
-            ";; <region guard: wild jump @ {addr:#x} ({})>",
-            if *user { "user" } else { "system" }
-        ),
-    }
-}
-
-/// Render a full listing of an image region.
-///
-/// `user` selects the user-code region; otherwise system code is listed.
+/// Render a listing of `len` consecutive ops starting at code address
+/// `base` (one region: system or user code).
 pub fn disasm_region(img: &CodeImage, base: u32, len: usize) -> String {
     let mut out = String::new();
     for i in 0..len {
         let addr = base + (i as u32) * 4;
         out.push_str(&format!("{addr:#08x}: {}\n", disasm_op(img.at(addr))));
-    }
-    out
-}
-
-/// Render a full listing of one region of a pre-decoded image.
-///
-/// A fused superinstruction prints as one line at the pair's first
-/// address; the shadowed second slot (kept in the image so mid-pair
-/// branch targets still work) is folded into it rather than listed.
-///
-/// `user` selects the user-code region; otherwise system code is listed.
-pub fn disasm_decoded_region(dec: &DecodedImage, user: bool) -> String {
-    let (base, len) = if user {
-        (dec.user_base(), dec.user_len())
-    } else {
-        (dec.sys_base(), dec.sys_len())
-    };
-    let mut out = String::new();
-    let mut i = 0;
-    while i < len {
-        let addr = base + i * 4;
-        let op = dec.op(dec.idx_of(addr));
-        out.push_str(&format!("{addr:#08x}: {}\n", disasm_decoded_op(dec, op)));
-        i += if op.is_fused() { 2 } else { 1 };
     }
     out
 }
@@ -324,86 +160,5 @@ mod tests {
         assert_eq!(listing.lines().count(), 2);
         assert!(listing.contains("suspend"));
         assert!(listing.contains("halt"));
-    }
-
-    #[test]
-    fn decoded_listing_renders_fused_pairs_as_one_line() {
-        let map = MemoryMap::default();
-        let mut img = CodeImage::new(&map);
-        let target = map.user_code_base;
-        // A compare+branch pair, a load+ALU pair, and a movi+store pair:
-        // six baseline ops that must list as three fused lines plus a halt.
-        img.push_user(MOp::Alu {
-            op: AluOp::Lt,
-            d: Reg(3),
-            a: Reg(2),
-            b: Operand::Imm(10),
-        });
-        img.push_user(MOp::Bnz {
-            c: Reg(3),
-            t: target,
-        });
-        img.push_user(MOp::Ld {
-            d: Reg(1),
-            base: Reg::FP,
-            off: -8,
-        });
-        img.push_user(MOp::Alu {
-            op: AluOp::Add,
-            d: Reg(2),
-            a: Reg(1),
-            b: Operand::Reg(Reg(2)),
-        });
-        img.push_user(MOp::MovI {
-            d: Reg(4),
-            v: Word::from_i64(7),
-        });
-        img.push_user(MOp::St {
-            s: Reg(4),
-            base: Reg::FP,
-            off: 16,
-        });
-        img.push_user(MOp::Halt);
-
-        let dec = DecodedImage::decode(&img);
-        assert_eq!(dec.fused_count(), 3);
-
-        let listing = disasm_decoded_region(&dec, true);
-        // 7 baseline ops collapse to 3 fused lines + halt.
-        assert_eq!(listing.lines().count(), 4);
-        assert!(listing.contains("lt+bnz r3, r2, #10"), "{listing}");
-        assert!(
-            listing.contains("ld+add r1, [fp-8]; r2, r1, r2"),
-            "{listing}"
-        );
-        assert!(listing.contains("movi+st r4, #0x7 -> [fp+16]"), "{listing}");
-        assert!(listing.contains("halt"), "{listing}");
-    }
-
-    #[test]
-    fn decoded_ops_render_targets_sends_and_guards() {
-        let map = MemoryMap::default();
-        let mut img = CodeImage::new(&map);
-        img.push_user(MOp::Send {
-            pri: Priority::High,
-            srcs: vec![SendSrc::Reg(Reg(4)), SendSrc::Imm(Word::from_i64(3))],
-        });
-        // Branch target past the end of the region: resolves to a wild
-        // sentinel and must render with the <wild> annotation.
-        img.push_user(MOp::Br {
-            t: map.user_code_base + 0x1000,
-        });
-        let dec = DecodedImage::decode(&img);
-
-        let send = disasm_decoded_op(&dec, dec.op(dec.idx_of(map.user_code_base)));
-        assert!(send.contains("send.hi [r4, #0x3]"), "{send}");
-
-        let br = disasm_decoded_op(&dec, dec.op(dec.idx_of(map.user_code_base + 4)));
-        assert!(br.contains("<wild>"), "{br}");
-
-        // The user-region guard slot sits one past the last user op.
-        let guard = disasm_decoded_op(&dec, dec.op(dec.idx_of(map.user_code_base + 4) + 1));
-        assert!(guard.contains("region guard"), "{guard}");
-        assert!(guard.contains("user"), "{guard}");
     }
 }

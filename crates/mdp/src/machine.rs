@@ -292,11 +292,6 @@ impl<'c> Machine<'c> {
         self.regs[pri.index()][r.index()]
     }
 
-    /// Write a register (tests and drivers).
-    pub fn set_reg(&mut self, pri: Priority, r: Reg, v: Word) {
-        self.regs[pri.index()][r.index()] = v;
-    }
-
     /// Inspect a queue (stats).
     pub fn queue(&self, pri: Priority) -> &MessageQueue {
         &self.queues[pri.index()]

@@ -116,7 +116,7 @@ pub fn block_sweep(data: &SuiteData, block_sizes: &[u32]) -> Table {
 mod tests {
     use super::*;
     use tamsim_cache::paper_sweep;
-    use tamsim_core::Implementation;
+    use tamsim_core::{Experiment, Implementation};
     use tamsim_programs::PaperBenchmark;
 
     fn data() -> SuiteData {
@@ -131,7 +131,7 @@ mod tests {
                     program: tamsim_programs::ss(10),
                 },
             ],
-            &[Implementation::Md, Implementation::Am],
+            &[Implementation::Md, Implementation::Am].map(Experiment::new),
             paper_sweep(),
         )
     }

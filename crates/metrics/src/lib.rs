@@ -36,4 +36,4 @@ pub use serve::{
     serve_requests_table, serve_summary,
 };
 pub use suite::{geomean, ProgramRun, SuiteData, SuitePerf};
-pub use tables::{accesses, region_breakdown, table1, table2};
+pub use tables::{ablations, accesses, region_breakdown, table1, table2};

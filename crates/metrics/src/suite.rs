@@ -73,28 +73,45 @@ pub struct SuiteData {
 }
 
 impl SuiteData {
-    /// Run every program of `suite` under each of `impls` once, recording
-    /// each trace, then replay the recordings into the cache sweep over
-    /// `geometries`. Machine runs execute in parallel (they are
+    /// Run every program of `suite` under each of `experiments` once,
+    /// recording each trace, then replay the recordings into the cache
+    /// sweep over `geometries`. Machine runs execute in parallel (they are
     /// independent single-threaded simulations); each replay then shards
     /// the geometry sweep across all cores.
+    ///
+    /// Each experiment's `implementation` names its runs in the dataset
+    /// ([`SuiteData::get`]), so a variant — other lowering options, the
+    /// queue SRAM — is a differently configured [`Experiment`] in the
+    /// slot of the back-end it varies.
+    ///
+    /// # Panics
+    /// Panics when two experiments share an implementation.
     pub fn collect(
         suite: Vec<PaperBenchmark>,
-        impls: &[Implementation],
+        experiments: &[Experiment],
         geometries: Vec<CacheGeometry>,
     ) -> SuiteData {
-        Self::collect_timed(suite, impls, geometries).0
+        Self::collect_timed(suite, experiments, geometries).0
     }
 
     /// [`SuiteData::collect`] with a wall-clock breakdown of the machine
     /// (record) phase vs the cache (replay) phase.
     pub fn collect_timed(
         suite: Vec<PaperBenchmark>,
-        impls: &[Implementation],
+        experiments: &[Experiment],
         geometries: Vec<CacheGeometry>,
     ) -> (SuiteData, SuitePerf) {
+        for (i, e) in experiments.iter().enumerate() {
+            assert!(
+                experiments[..i]
+                    .iter()
+                    .all(|f| f.implementation != e.implementation),
+                "two experiments share the {} slot",
+                e.implementation.label()
+            );
+        }
         let names: Vec<String> = suite.iter().map(|b| b.name.to_string()).collect();
-        let tasks = task_list(&suite, impls);
+        let tasks = task_list(&suite, experiments);
 
         // Phase 1: machine simulations, one recorded run per task, fanned
         // out with `par_map` (at most one worker per core: each simulation
@@ -102,10 +119,9 @@ impl SuiteData {
         // growing trace log — and oversubscribing cores context-switches
         // those working sets through the host caches).
         let t0 = Instant::now();
-        let recorded: Vec<(String, Implementation, RecordedRun)> =
-            tamsim_trace::par_map(tasks, move |(name, program, impl_)| {
-                let rec = Experiment::new(impl_).run_recorded(&program);
-                (name, impl_, rec)
+        let recorded: Vec<(String, RecordedRun)> =
+            tamsim_trace::par_map(tasks, move |(name, program, experiment)| {
+                (name, experiment.run_recorded(&program))
             });
         let machine_seconds = t0.elapsed().as_secs_f64();
 
@@ -118,12 +134,12 @@ impl SuiteData {
         let mut events = 0u64;
         let runs: Vec<ProgramRun> = recorded
             .into_iter()
-            .map(|(name, impl_, rec)| {
+            .map(|(name, rec)| {
                 events += rec.log.len() as u64;
                 let caches = CacheBank::replay_parallel(&geometries, &rec.log);
                 ProgramRun {
                     name,
-                    implementation: impl_,
+                    implementation: rec.run.implementation,
                     run: rec.run,
                     caches,
                 }
@@ -175,9 +191,12 @@ impl SuiteData {
 
     /// MD/AM total-cycle ratio for one program.
     pub fn ratio(&self, name: &str, geometry: CacheGeometry, model: CycleModel) -> f64 {
-        let md = self.get(name, Implementation::Md).cycles(geometry, model);
-        let am = self.get(name, Implementation::Am).cycles(geometry, model);
-        md as f64 / am as f64
+        cycle_ratio(
+            self.get(name, Implementation::Md),
+            self.get(name, Implementation::Am),
+            geometry,
+            model,
+        )
     }
 
     /// Geometric mean of the MD/AM ratio over `names`.
@@ -191,15 +210,25 @@ impl SuiteData {
     }
 }
 
-/// The (name, program, implementation) work list for a collection pass.
+/// Total-cycle ratio of run `md` to run `am` at `geometry` under `model`.
+pub(crate) fn cycle_ratio(
+    md: &ProgramRun,
+    am: &ProgramRun,
+    geometry: CacheGeometry,
+    model: CycleModel,
+) -> f64 {
+    md.cycles(geometry, model) as f64 / am.cycles(geometry, model) as f64
+}
+
+/// The (name, program, experiment) work list for a collection pass.
 fn task_list(
     suite: &[PaperBenchmark],
-    impls: &[Implementation],
-) -> Vec<(String, tamsim_tam::Program, Implementation)> {
+    experiments: &[Experiment],
+) -> Vec<(String, tamsim_tam::Program, Experiment)> {
     let mut tasks = Vec::new();
     for bench in suite {
-        for &impl_ in impls {
-            tasks.push((bench.name.to_string(), bench.program.clone(), impl_));
+        for &experiment in experiments {
+            tasks.push((bench.name.to_string(), bench.program.clone(), experiment));
         }
     }
     tasks
@@ -236,6 +265,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "two experiments share the MD slot")]
+    fn collect_rejects_two_experiments_in_one_slot() {
+        let md = Experiment::new(Implementation::Md);
+        SuiteData::collect(
+            Vec::new(),
+            &[md, md.with_opts(tamsim_core::LoweringOptions::none())],
+            Vec::new(),
+        );
+    }
+
+    #[test]
     fn collect_small_suite_and_derive_ratios() {
         let suite = vec![
             PaperBenchmark {
@@ -248,7 +288,8 @@ mod tests {
             },
         ];
         let geom = table2_geometry();
-        let data = SuiteData::collect(suite, &[Implementation::Md, Implementation::Am], vec![geom]);
+        let both = [Implementation::Md, Implementation::Am].map(Experiment::new);
+        let data = SuiteData::collect(suite, &both, vec![geom]);
         let model = CycleModel::paper(12);
         for name in ["FIB", "SS"] {
             let r = data.ratio(name, geom, model);

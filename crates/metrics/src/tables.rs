@@ -1,9 +1,11 @@
-//! Table 1, Table 2, and the Section 3.1 access-count comparison.
+//! Table 1, Table 2, its design-choice ablations, and the Section 3.1
+//! access-count comparison.
 
 use crate::render::{r1, r3, Table};
-use crate::suite::SuiteData;
+use crate::suite::{cycle_ratio, geomean, SuiteData};
 use tamsim_cache::{table2_geometry, CycleModel, PAPER_MISS_COSTS};
-use tamsim_core::Implementation;
+use tamsim_core::{Experiment, Implementation, LoweringOptions};
+use tamsim_programs::PaperBenchmark;
 use tamsim_trace::AccessKind;
 
 /// Table 1: the mapping of TAM constructs to MDP mechanisms, as
@@ -64,6 +66,83 @@ pub fn table2(data: &SuiteData) -> Table {
         for cost in PAPER_MISS_COSTS {
             row.push(r3(data.ratio(name, geom, CycleModel::paper(cost))));
         }
+        t.row(row);
+    }
+    t
+}
+
+/// Table 2's MD/AM ratios under the design choices the paper's argument
+/// turns on, one block of rows per ablation (each program, then the
+/// geometric mean), at Table 2's geometry and miss costs:
+///
+/// - `paper`: the measured configuration, `data` itself (equal to
+///   [`table2`]'s ratios; its mean is Figure 3's 8K 4-way cell);
+/// - `queue_sram`: both back-ends with the message queues in dedicated
+///   SRAM ([`Experiment::queue_bypass`]) instead of buffered through the
+///   data cache (the paper's footnote charges buffering "cache space and
+///   memory bandwidth");
+/// - `writebacks`: `data` with dirty evictions charged the miss penalty
+///   too;
+/// - `md_opts_off`: MD without §2.3's peepholes
+///   ([`LoweringOptions::none`]) over the measured AM;
+/// - `am_enabled`: the measured MD over §2.4's enabled AM.
+///
+/// `data` must hold `suite`'s MD and AM runs at Table 2's geometry; the
+/// two variant datasets are collected here, over that geometry alone.
+pub fn ablations(suite: &[PaperBenchmark], data: &SuiteData) -> Table {
+    use Implementation::{Am, AmEnabled, Md};
+    let geom = table2_geometry();
+    let queue_sram = SuiteData::collect(
+        suite.to_vec(),
+        &[Md, Am].map(|impl_| Experiment {
+            queue_bypass: true,
+            ..Experiment::new(impl_)
+        }),
+        vec![geom],
+    );
+    let variants = SuiteData::collect(
+        suite.to_vec(),
+        &[
+            Experiment::new(Md).with_opts(LoweringOptions::none()),
+            Experiment::new(AmEnabled),
+        ],
+        vec![geom],
+    );
+    // (label, MD runs, AM runs, AM slot, writebacks charged)
+    let blocks = [
+        ("paper", data, data, Am, false),
+        ("queue_sram", &queue_sram, &queue_sram, Am, false),
+        ("writebacks", data, data, Am, true),
+        ("md_opts_off", &variants, data, Am, false),
+        ("am_enabled", data, &variants, AmEnabled, false),
+    ];
+    let mut t = Table::new(&[
+        "Program", "Ablation", "MD instr", "AM instr", "MD/AM@12", "MD/AM@24", "MD/AM@48",
+    ]);
+    for (label, md_data, am_data, am_impl, charge_writebacks) in blocks {
+        let model = |cost| CycleModel {
+            miss_penalty: cost,
+            charge_writebacks,
+        };
+        let mut ratios: [Vec<f64>; 3] = Default::default();
+        for name in data.name_refs() {
+            let md = md_data.get(name, Md);
+            let am = am_data.get(name, am_impl);
+            let mut row = vec![
+                name.to_string(),
+                label.to_string(),
+                md.run.instructions.to_string(),
+                am.run.instructions.to_string(),
+            ];
+            for (column, cost) in ratios.iter_mut().zip(PAPER_MISS_COSTS) {
+                let r = cycle_ratio(md, am, geom, model(cost));
+                column.push(r);
+                row.push(r3(r));
+            }
+            t.row(row);
+        }
+        let mut row = vec!["geomean".into(), label.into(), "-".into(), "-".into()];
+        row.extend(ratios.into_iter().map(|column| r3(geomean(column))));
         t.row(row);
     }
     t
@@ -134,8 +213,6 @@ pub fn region_breakdown(data: &SuiteData, impl_: Implementation) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tamsim_cache::table2_geometry;
-    use tamsim_programs::PaperBenchmark;
 
     fn tiny_data() -> SuiteData {
         SuiteData::collect(
@@ -143,7 +220,7 @@ mod tests {
                 name: "FIB",
                 program: tamsim_programs::fib(7),
             }],
-            &[Implementation::Md, Implementation::Am],
+            &[Implementation::Md, Implementation::Am].map(Experiment::new),
             vec![table2_geometry()],
         )
     }
@@ -161,6 +238,60 @@ mod tests {
         let t = table2(&data).to_text();
         assert!(t.contains("FIB"));
         assert!(t.contains("MD/AM@48"));
+    }
+
+    #[test]
+    fn paper_ablation_is_table2_and_figure3() {
+        use Implementation::{Am, Md};
+        let suite = tamsim_programs::small_suite();
+        let data = SuiteData::collect(
+            suite.clone(),
+            &[Md, Am].map(Experiment::new),
+            tamsim_cache::paper_sweep(),
+        );
+        let csv = ablations(&suite, &data).to_csv();
+        let rows: Vec<Vec<&str>> = csv
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').collect())
+            .collect();
+        // Five blocks: every program, then the geometric mean.
+        assert_eq!(rows.len(), 5 * (suite.len() + 1));
+        let block =
+            |label: &str| -> Vec<&Vec<&str>> { rows.iter().filter(|r| r[1] == label).collect() };
+
+        // `paper` is Table 2's ratio cells, program by program ...
+        let paper = block("paper");
+        let t2 = table2(&data).to_csv();
+        for (row, t2_row) in paper.iter().zip(t2.lines().skip(1)) {
+            let t2_row: Vec<&str> = t2_row.split(',').collect();
+            assert_eq!(row[0], t2_row[0]);
+            assert_eq!(row[4..], t2_row[7..], "{}", row[0]);
+        }
+        // ... and its mean is Figure 3's 8K 4-way cell at each miss cost.
+        let mean = paper.last().unwrap();
+        assert_eq!(mean[0], "geomean");
+        for ((_, fig), cell) in crate::figure3(&data).iter().zip(&mean[4..]) {
+            let fig = fig.to_csv();
+            let row_8k = fig.lines().find(|l| l.starts_with("8K,")).unwrap();
+            assert_eq!(row_8k.split(',').nth(3), Some(*cell));
+        }
+
+        // The variants change instruction counts only where they should.
+        for (((p, q), o), e) in paper
+            .iter()
+            .zip(block("queue_sram"))
+            .zip(block("md_opts_off"))
+            .zip(block("am_enabled"))
+            .take(suite.len())
+        {
+            let instr = |row: &Vec<&str>, i: usize| row[i].parse::<u64>().unwrap();
+            assert_eq!(q[2..4], p[2..4], "{}: queue SRAM runs the same code", p[0]);
+            assert!(instr(o, 2) >= instr(p, 2), "{}: peepholes add work", p[0]);
+            assert_eq!(o[3], p[3]);
+            assert_eq!(e[2], p[2]);
+            assert!(instr(e, 3) <= instr(p, 3), "{}: enabled AM is slower", p[0]);
+        }
     }
 
     #[test]

@@ -217,11 +217,6 @@ impl LinkStat {
     pub fn words_in_total(&self) -> u64 {
         self.words_in[0] + self.words_in[1]
     }
-
-    /// Total messages accepted across priorities.
-    pub fn msgs_in_total(&self) -> u64 {
-        self.msgs_in[0] + self.msgs_in[1]
-    }
 }
 
 /// Aggregate fabric counters.

@@ -127,14 +127,6 @@ pub struct Quantum {
     pub interruptions: u32,
 }
 
-impl Quantum {
-    /// Quantum length in cycles (thread instructions, the paper's metric).
-    #[inline]
-    pub fn len_cycles(self) -> u64 {
-        self.cycles
-    }
-}
-
 /// Aggregate quantum statistics for one run.
 #[derive(Debug, Default, Clone)]
 pub struct QuantumStats {

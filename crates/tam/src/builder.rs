@@ -87,13 +87,6 @@ impl CodeblockBuilder {
         });
     }
 
-    /// Declare and define a thread in one step.
-    pub fn add_thread(&mut self, entry_count: u32, ops: Vec<TOp>) -> ThreadId {
-        let t = self.thread();
-        self.def_thread(t, entry_count, ops);
-        t
-    }
-
     /// Define a previously declared inlet.
     ///
     /// # Panics

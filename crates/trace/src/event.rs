@@ -121,13 +121,6 @@ impl MarkLog {
     pub fn total_cycles(&self) -> u64 {
         self.cycles[0] + self.cycles[1]
     }
-
-    /// Discard everything, for reuse by the next recording.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.cycles = [0, 0];
-        self.pending_queue = [0, 0];
-    }
 }
 
 /// A pure mark recorder: accesses flow past it untouched, so it composes
@@ -190,19 +183,6 @@ mod tests {
         assert_eq!(r.queue_words, [3, 1]);
         assert_eq!(r.frame, 0x40);
         assert_eq!(log.total_cycles(), 3);
-    }
-
-    #[test]
-    fn mark_log_clear_resets_everything() {
-        let mut log = MarkLog::new();
-        log.instruction(Priority::High, 0);
-        log.queue_sample([9, 9]);
-        log.mark(Mark::SysStart, 0, Priority::High);
-        log.clear();
-        assert!(log.records.is_empty());
-        assert_eq!(log.total_cycles(), 0);
-        log.mark(Mark::SysEnd, 0, Priority::High);
-        assert_eq!(log.records[0].queue_words, [0, 0]);
     }
 
     #[test]

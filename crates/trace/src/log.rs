@@ -96,15 +96,6 @@ impl TraceLog {
         }
     }
 
-    /// Discard all recorded events, keeping one chunk's allocation for
-    /// reuse by the next recording.
-    pub fn clear(&mut self) {
-        self.chunks.truncate(1);
-        if let Some(first) = self.chunks.first_mut() {
-            first.clear();
-        }
-    }
-
     /// Append `n` fetch events at consecutive word addresses from `start`.
     ///
     /// Equivalent to `n` [`TraceLog::push`] calls of `Access::fetch`; the
@@ -241,20 +232,6 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, n);
-    }
-
-    #[test]
-    fn clear_discards_and_allows_rerecording() {
-        let mut log = TraceLog::new();
-        for i in 0..(CHUNK_EVENTS * 2 + 3) {
-            log.push(Access::write((i as u32) * 4));
-        }
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.len(), 0);
-        assert_eq!(log.iter().count(), 0);
-        log.push(Access::fetch(64));
-        assert_eq!(log.iter().collect::<Vec<_>>(), vec![Access::fetch(64)]);
     }
 
     #[test]

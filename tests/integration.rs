@@ -7,7 +7,10 @@ use tamsim::core::{Experiment, Implementation};
 use tamsim::metrics::{accesses, figure3, table2, SuiteData};
 use tamsim::programs;
 
-const BOTH: [Implementation; 2] = [Implementation::Md, Implementation::Am];
+/// The paper's two measured configurations, MD and (unenabled) AM.
+fn both() -> [Experiment; 2] {
+    [Implementation::Md, Implementation::Am].map(Experiment::new)
+}
 
 #[test]
 fn every_benchmark_is_correct_under_every_implementation() {
@@ -57,7 +60,7 @@ fn every_benchmark_is_correct_under_every_implementation() {
 
 #[test]
 fn suite_dataset_supports_every_figure() {
-    let data = SuiteData::collect(programs::small_suite(), &BOTH, paper_sweep());
+    let data = SuiteData::collect(programs::small_suite(), &both(), paper_sweep());
     // Table 2 renders one row per program.
     let t2 = table2(&data).to_csv();
     assert_eq!(t2.lines().count(), 1 + data.names.len());
@@ -86,7 +89,7 @@ fn suite_dataset_supports_every_figure() {
 fn md_wins_the_small_cache_low_penalty_regime() {
     // The paper: "for all caches, the MD implementation outperforms the
     // AM implementation when the miss cost is 12 … cycles".
-    let data = SuiteData::collect(programs::small_suite(), &BOTH, paper_sweep());
+    let data = SuiteData::collect(programs::small_suite(), &both(), paper_sweep());
     let names = data.name_refs();
     for geom in paper_sweep() {
         let r = data.geomean_ratio(&names, geom, CycleModel::paper(12));
@@ -193,7 +196,7 @@ fn md_optimizations_only_remove_instructions() {
 #[test]
 fn ss_dwarfs_everything_in_threads_per_quantum() {
     // SS is the outlier the paper removes in Figure 6.
-    let data = SuiteData::collect(programs::small_suite(), &BOTH, vec![table2_geometry()]);
+    let data = SuiteData::collect(programs::small_suite(), &both(), vec![table2_geometry()]);
     let ss = data.get("SS", Implementation::Md).run.granularity.tpq();
     for name in data.name_refs() {
         if name != "SS" {

@@ -294,3 +294,109 @@ fn wavefront_matches_reference() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// `.tam` parser: mutated text never panics, and whatever parses prints
+// back to text that parses to the same program.
+// ---------------------------------------------------------------------
+
+/// Token replacements that probe numeric ranges, register names and
+/// empty fields.
+const TOKEN_PROBES: &[&str] = &[
+    "0",
+    "-1",
+    "65535",
+    "65536",
+    "4294967295",
+    "4294967296",
+    "123456789012345678901234567890",
+    "r15",
+    "r16",
+    "",
+];
+
+/// One random edit of `lines`: delete, duplicate or swap lines; replace a
+/// token with a probe; flip a bit of an ASCII byte; truncate a line; or
+/// append a token taken from another line.
+fn mutate_lines(rng: &mut SplitMix64, lines: &mut Vec<String>) {
+    if lines.is_empty() {
+        lines.push(String::new());
+    }
+    let i = rng.below(lines.len() as u64) as usize;
+    let j = rng.below(lines.len() as u64) as usize;
+    match rng.below(7) {
+        0 => {
+            lines.remove(i);
+        }
+        1 => lines.insert(i, lines[i].clone()),
+        2 => lines.swap(i, j),
+        3 => {
+            let mut tokens: Vec<&str> = lines[i].split_whitespace().collect();
+            if !tokens.is_empty() {
+                let k = rng.below(tokens.len() as u64) as usize;
+                tokens[k] = *rng.pick(TOKEN_PROBES);
+                lines[i] = tokens.join(" ");
+            }
+        }
+        4 => {
+            let mut bytes = lines[i].clone().into_bytes();
+            if !bytes.is_empty() {
+                let k = rng.below(bytes.len() as u64) as usize;
+                // Bits 0-6 only: ASCII stays ASCII, so the text stays UTF-8.
+                bytes[k] ^= 1 << rng.below(7);
+                lines[i] = String::from_utf8(bytes).expect("seed text is ASCII");
+            }
+        }
+        5 => {
+            let keep = rng.below(lines[i].len() as u64 + 1) as usize;
+            lines[i].truncate(keep);
+        }
+        _ => {
+            let tokens: Vec<String> = lines[j].split_whitespace().map(String::from).collect();
+            if !tokens.is_empty() {
+                let token = rng.pick(&tokens).clone();
+                lines[i].push(' ');
+                lines[i].push_str(&token);
+            }
+        }
+    }
+}
+
+#[test]
+fn tam_parser_survives_mutated_text() {
+    use tamsim::tam::{parse_program, program_to_text};
+    let mut seeds: Vec<String> = ["examples/tam/double.tam", "examples/tam/sum_range.tam"]
+        .iter()
+        .map(|path| std::fs::read_to_string(path).unwrap())
+        .collect();
+    seeds.extend(
+        programs::small_suite()
+            .iter()
+            .map(|b| program_to_text(&b.program)),
+    );
+    let gen = tamsim::check::GenConfig::default();
+    seeds.extend((1..=4).map(|seed| program_to_text(&tamsim::check::generate(seed, &gen))));
+
+    let mut rng = SplitMix64::new(0x7A3_7E47);
+    let mut parsed = 0;
+    for case in 0..2000 {
+        let seed = rng.pick(&seeds);
+        let mut lines: Vec<String> = seed.lines().map(String::from).collect();
+        for _ in 0..=rng.below(2) {
+            mutate_lines(&mut rng, &mut lines);
+        }
+        let text = lines.join("\n");
+        let outcome = std::panic::catch_unwind(|| parse_program(&text))
+            .unwrap_or_else(|_| panic!("case {case}: the parser panicked on\n{text}"));
+        if let Ok(program) = outcome {
+            parsed += 1;
+            let printed = program_to_text(&program);
+            let reparsed = parse_program(&printed).unwrap_or_else(|e| {
+                panic!("case {case}: printed text does not parse: {e}\n{printed}")
+            });
+            assert_eq!(reparsed, program, "case {case}: round trip of\n{text}");
+        }
+    }
+    // The oracle is only as good as the mutants that get past the parser.
+    assert!(parsed > 100, "only {parsed} of 2000 mutants parsed");
+}

@@ -1,34 +1,29 @@
 #!/usr/bin/env bash
-# Parallel-driver determinism wall.
+# Determinism wall: a worker-count override must not change any output.
 #
 #   ci/check_determinism.sh [OUT_DIR] [NODES]
 #
-# Runs every suite program on a NODES-node mesh (default 8) under all
-# three back-ends with --threads 1, --threads 2, --threads 4, and a
-# TAMSIM_JOBS=4 override, then byte-compares everything the runs
-# produce:
+# TAMSIM_JOBS sets how many host workers fan out independent runs; it
+# never changes what a command prints or writes. Each leg below runs
+# once with TAMSIM_JOBS unset and once with TAMSIM_JOBS=4, then
+# byte-compares everything: stdout, and every file the run writes except
+# manifest.json (which records the command line and the wall-clock time).
 #
-#   * stdout (run summary, per-node cycle accounting) — after dropping
-#     the one header line that names the worker-thread count;
-#   * mesh_links.csv and mesh_trace.json — byte-for-byte;
-#   * profile.json — identical after removing the "parallel" object,
-#     which records the per-worker step split and so legitimately
-#     depends on the thread count.
+#   * mesh: every suite program on a NODES-node mesh (default 8) under
+#     all three back-ends;
+#   * serve: open-loop request serving under all three back-ends;
+#   * steal: MMT, the suite's heaviest communicator, under --policy steal;
+#   * steal-serve: corner-skewed serving under --policy steal, the
+#     workload that actually migrates frames.
 #
-# Any other byte of difference means the epoch-barrier driver diverged
-# from the serial loop: fail. All runs request threads explicitly, which
-# forces the untraced mode, so serial and parallel runs emit the same
-# artifact set. The open-loop serve driver gets the same treatment
-# (serve_latency/requests/depth CSVs and profile.json across
-# --threads 1/2/4). Finally the golden-figure gate re-runs under a
-# TAMSIM_JOBS override to pin the CSV pipeline itself.
+# Finally the golden-figure gate re-runs under TAMSIM_JOBS=2 to pin the
+# figure pipeline, whose sweeps fan out across workers.
 set -euo pipefail
 
 out="${1:-det-out}"
 nodes="${2:-8}"
 bin="${TAMSIM:-./target/release/tamsim}"
 progs=(fib MMT QS DTW Paraffins Wavefront SS)
-impls=(am am-en md)
 
 if [ ! -x "$bin" ]; then
     echo "error: tamsim binary '$bin' not built (cargo build --release -p tamsim-cli)" >&2
@@ -38,154 +33,48 @@ fi
 rm -rf "$out"
 mkdir -p "$out"
 
-profiles_equal() {
-    python3 - "$1" "$2" <<'EOF'
-import json
-import sys
+fail=0
 
-a = json.load(open(sys.argv[1]))
-b = json.load(open(sys.argv[2]))
-a.pop("parallel", None)
-b.pop("parallel", None)
-if a != b:
-    sys.exit(1)
-EOF
+# leg NAME ARGS...: run `tamsim ARGS... --out DIR` with TAMSIM_JOBS unset
+# and with TAMSIM_JOBS=4, and require byte-identical stdout and files.
+leg() {
+    local name="$1"
+    shift
+    local dir="$out/$name"
+    mkdir -p "$dir"
+    env -u TAMSIM_JOBS "$bin" "$@" --out "$dir/unset" >"$dir/unset.stdout"
+    TAMSIM_JOBS=4 "$bin" "$@" --out "$dir/jobs4" >"$dir/jobs4.stdout"
+    local ok=1
+    if ! cmp -s "$dir/unset.stdout" "$dir/jobs4.stdout"; then
+        echo "FAIL: $name stdout differs under TAMSIM_JOBS=4" >&2
+        diff "$dir/unset.stdout" "$dir/jobs4.stdout" >&2 || true
+        ok=0
+    fi
+    if ! diff -r -q -x manifest.json "$dir/unset" "$dir/jobs4" >&2; then
+        echo "FAIL: $name artifacts differ under TAMSIM_JOBS=4" >&2
+        ok=0
+    fi
+    if [ "$ok" -eq 1 ]; then
+        echo "ok: $name byte-identical with TAMSIM_JOBS unset and =4"
+    else
+        fail=1
+    fi
 }
 
-fail=0
 for prog in "${progs[@]}"; do
-    mkdir -p "$out/$prog"
-    for run in t1 t2 t4 jobs4; do
-        dir="$out/$prog/$run"
-        case "$run" in
-        jobs4)
-            TAMSIM_JOBS=4 "$bin" mesh "$prog" --small --nodes "$nodes" \
-                --impl all --out "$dir" >"$dir.stdout"
-            ;;
-        *)
-            "$bin" mesh "$prog" --small --nodes "$nodes" --impl all \
-                --threads "${run#t}" --out "$dir" >"$dir.stdout"
-            ;;
-        esac
-        # The header line names the worker-thread count; every other
-        # line of stdout (cycle counts, per-node tables) must match.
-        sed '/^## mesh:/d' "$dir.stdout" >"$dir.stats"
-    done
-    for run in t2 t4 jobs4; do
-        if ! cmp -s "$out/$prog/t1.stats" "$out/$prog/$run.stats"; then
-            echo "FAIL: $prog stdout stats differ between --threads 1 and $run" >&2
-            diff "$out/$prog/t1.stats" "$out/$prog/$run.stats" >&2 || true
-            fail=1
-        fi
-        for imp in "${impls[@]}"; do
-            for f in mesh_links.csv mesh_trace.json; do
-                if ! cmp -s "$out/$prog/t1/$imp/$f" "$out/$prog/$run/$imp/$f"; then
-                    echo "FAIL: $prog/$imp/$f differs between --threads 1 and $run" >&2
-                    fail=1
-                fi
-            done
-            if ! profiles_equal "$out/$prog/t1/$imp/profile.json" \
-                "$out/$prog/$run/$imp/profile.json"; then
-                echo "FAIL: $prog/$imp/profile.json differs between --threads 1 and $run (beyond the \"parallel\" object)" >&2
-                fail=1
-            fi
-        done
-    done
-    echo "ok: $prog byte-identical across --threads 1/2/4 and TAMSIM_JOBS=4 (${#impls[@]} back-ends, $nodes nodes)"
+    leg "mesh-$prog" mesh "$prog" --small --nodes "$nodes" --impl all
 done
-
-# Serve mode: the open-loop request-serving driver must produce
-# byte-identical artifacts across thread counts too. Serve profiles omit
-# the "parallel" object by design, so every file byte-compares directly
-# (stdout included — the serve header does not name a thread count).
-mkdir -p "$out/serve"
-for run in t1 t2 t4; do
-    dir="$out/serve/$run"
-    "$bin" serve --rate 20 --requests 24 --seed 3 --nodes "$nodes" \
-        --impl all --threads "${run#t}" --out "$dir" >"$dir.stdout"
-done
-for run in t2 t4; do
-    if ! cmp -s "$out/serve/t1.stdout" "$out/serve/$run.stdout"; then
-        echo "FAIL: serve stdout differs between --threads 1 and $run" >&2
-        diff "$out/serve/t1.stdout" "$out/serve/$run.stdout" >&2 || true
-        fail=1
-    fi
-    for imp in "${impls[@]}"; do
-        for f in serve_latency.csv serve_requests.csv serve_depth.csv profile.json; do
-            if ! cmp -s "$out/serve/t1/$imp/$f" "$out/serve/$run/$imp/$f"; then
-                echo "FAIL: serve/$imp/$f differs between --threads 1 and $run" >&2
-                fail=1
-            fi
-        done
-    done
-done
-echo "ok: serve byte-identical across --threads 1/2/4 (${#impls[@]} back-ends, $nodes nodes)"
-
-# Work-stealing placement: --policy steal migrates frames between nodes
-# at run time, with every steal decision made in the per-cycle serial
-# phase — so its artifacts must byte-compare across thread counts just
-# like the static policies'. One batch leg (MMT, the suite's heaviest
-# communicator) and one corner-skewed serve leg (every request lands on
-# node 0 — the workload that actually triggers migrations).
-mkdir -p "$out/steal"
-for run in t1 t2 t4; do
-    dir="$out/steal/$run"
-    "$bin" mesh MMT --small --nodes "$nodes" --impl all --policy steal \
-        --threads "${run#t}" --out "$dir" >"$dir.stdout"
-    sed '/^## mesh:/d' "$dir.stdout" >"$dir.stats"
-done
-for run in t2 t4; do
-    if ! cmp -s "$out/steal/t1.stats" "$out/steal/$run.stats"; then
-        echo "FAIL: steal-policy stdout stats differ between --threads 1 and $run" >&2
-        diff "$out/steal/t1.stats" "$out/steal/$run.stats" >&2 || true
-        fail=1
-    fi
-    for imp in "${impls[@]}"; do
-        for f in mesh_links.csv mesh_trace.json; do
-            if ! cmp -s "$out/steal/t1/$imp/$f" "$out/steal/$run/$imp/$f"; then
-                echo "FAIL: steal/$imp/$f differs between --threads 1 and $run" >&2
-                fail=1
-            fi
-        done
-        if ! profiles_equal "$out/steal/t1/$imp/profile.json" \
-            "$out/steal/$run/$imp/profile.json"; then
-            echo "FAIL: steal/$imp/profile.json differs between --threads 1 and $run (beyond the \"parallel\" object)" >&2
-            fail=1
-        fi
-    done
-done
-echo "ok: mesh --policy steal byte-identical across --threads 1/2/4 (${#impls[@]} back-ends, $nodes nodes)"
-
-mkdir -p "$out/steal-serve"
-for run in t1 t2 t4; do
-    dir="$out/steal-serve/$run"
-    "$bin" serve --rate 20 --requests 24 --seed 3 --nodes "$nodes" \
-        --impl all --policy steal --origins corner \
-        --threads "${run#t}" --out "$dir" >"$dir.stdout"
-done
-for run in t2 t4; do
-    if ! cmp -s "$out/steal-serve/t1.stdout" "$out/steal-serve/$run.stdout"; then
-        echo "FAIL: steal-serve stdout differs between --threads 1 and $run" >&2
-        diff "$out/steal-serve/t1.stdout" "$out/steal-serve/$run.stdout" >&2 || true
-        fail=1
-    fi
-    for imp in "${impls[@]}"; do
-        for f in serve_latency.csv serve_requests.csv serve_depth.csv profile.json; do
-            if ! cmp -s "$out/steal-serve/t1/$imp/$f" "$out/steal-serve/$run/$imp/$f"; then
-                echo "FAIL: steal-serve/$imp/$f differs between --threads 1 and $run" >&2
-                fail=1
-            fi
-        done
-    done
-done
-echo "ok: serve --policy steal --origins corner byte-identical across --threads 1/2/4 (${#impls[@]} back-ends, $nodes nodes)"
+leg serve serve --rate 20 --requests 24 --seed 3 --nodes "$nodes" --impl all
+leg steal mesh MMT --small --nodes "$nodes" --impl all --policy steal
+leg steal-serve serve --rate 20 --requests 24 --seed 3 --nodes "$nodes" \
+    --impl all --policy steal --origins corner
 
 if [ "$fail" -ne 0 ]; then
     echo "determinism wall: FAILED" >&2
     exit 1
 fi
 
-# The figure pipeline under a thread override: every golden CSV must
+# The figure pipeline under a worker override: every golden CSV must
 # still match tests/golden/ byte-for-byte.
 TAMSIM_JOBS=2 "$(dirname "$0")/check_goldens.sh" "$out/golden-jobs2"
-echo "determinism wall: all artifacts byte-identical across thread counts"
+echo "determinism wall: every artifact byte-identical across TAMSIM_JOBS settings"

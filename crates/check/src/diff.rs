@@ -636,7 +636,7 @@ fn mesh_identity_check(
     mesh_driver_cross_check(program, impl_, label, cfg)
 }
 
-/// Node count the fuzz cross-check runs the three mesh drivers on: a 2×2
+/// Node count the fuzz cross-check runs both mesh driver modes on: a 2×2
 /// mesh, the smallest with multi-hop routes in both dimensions.
 const CROSS_CHECK_NODES: u32 = 4;
 
@@ -646,16 +646,13 @@ const CROSS_CHECK_NODES: u32 = 4;
 /// the fast-forward driver's awake set and fabric occupancy index serve.
 const WIDE_CROSS_CHECK_NODES: u32 = 72;
 
-/// Run `program` on a [`CROSS_CHECK_NODES`]-node mesh under all three
-/// drivers — PR 4's lockstep loop, the event-horizon fast-forward, and
-/// the epoch-barrier parallel driver on two worker threads — and every
-/// placement policy (including the dynamically-migrating `steal`), and
-/// require bit-identity in every observable; then run lockstep against
-/// fast-forward again on [`WIDE_CROSS_CHECK_NODES`] nodes. The
-/// fast-forward may only skip cycles that were pure no-ops, and the
-/// parallel driver's barriers may only reorder work the serial cycle
-/// already treats as unordered; any divergence here means one of them
-/// broke that contract.
+/// Run `program` on a [`CROSS_CHECK_NODES`]-node mesh in both driver
+/// modes — the lockstep loop and the event-horizon fast-forward — under
+/// every placement policy (including the dynamically-migrating `steal`),
+/// and require bit-identity in every observable; then run lockstep
+/// against fast-forward again on [`WIDE_CROSS_CHECK_NODES`] nodes. The
+/// fast-forward may only skip cycles that were pure no-ops; any
+/// divergence here means it broke that contract.
 fn mesh_driver_cross_check(
     program: &Program,
     impl_: Implementation,
@@ -666,7 +663,7 @@ fn mesh_driver_cross_check(
         let mut exp = MeshExperiment::new(impl_, nodes).with_placement(policy);
         exp.fuel = cfg.fuel;
         // Multi-node runs may legitimately need more queue space than the
-        // single-node run probed; all drivers must grow identically.
+        // single-node run probed; both modes must grow identically.
         exp.queue_words = [cfg.queue_words, cfg.queue_words];
         exp
     };
@@ -686,12 +683,7 @@ fn mesh_driver_cross_check(
             catch_trap(|| exp.traced(NetTraceMode::Ring(256)).run(program)).map_err(|trap| {
                 trap_fail(nodes, policy, format!("fast-forward run trapped: {trap}"))
             })?;
-        // The parallel leg fans the same run across two worker threads.
-        let par = catch_trap(|| exp.with_threads(2).run(program))
-            .map_err(|trap| trap_fail(nodes, policy, format!("parallel run trapped: {trap}")))?;
-        for (leg, run) in [("fast-forward", &fast), ("parallel x2", &par)] {
-            mesh_runs_identical(label, leg, nodes, policy, &lock, run)?;
-        }
+        mesh_runs_identical(label, "fast-forward", nodes, policy, &lock, &fast)?;
     }
     // The wide leg runs the untraced fast-forward loop, the
     // monomorphization the small leg's traced run does not cover.
@@ -708,7 +700,7 @@ fn mesh_driver_cross_check(
     Ok(())
 }
 
-/// Require bit-identity between a lockstep mesh run and another driver's
+/// Require bit-identity between a lockstep mesh run and a fast-forward
 /// run of the same configuration, in every observable.
 fn mesh_runs_identical(
     label: &str,

@@ -38,8 +38,8 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         "mesh PROG",
-        "run one program on a multi-node mesh (--nodes, --impl, --policy rr|local|steal, \
-         --threads N); writes mesh_trace.json",
+        "run one program on a multi-node mesh (--nodes, --impl, --policy rr|local|steal); \
+         writes mesh_trace.json",
     ),
     (
         "serve [PROG]",
@@ -98,10 +98,6 @@ fn help_text() -> String {
          --trace-net    mesh only: full causal message tracing (per-message lifecycle \
          records, flow arrows in mesh_trace.json, occupancy counters); without it a \
          bounded ring still feeds the latency histograms\n  \
-         --threads N    mesh, serve, perf --mesh: host worker threads for the parallel driver \
-         (TAMSIM_JOBS is honoured when the flag is absent); results are bit-identical \
-         at every thread count, but message tracing is off, so the latency histograms \
-         are skipped; incompatible with --trace-net\n  \
          -h, --help     show this help\n",
     );
     out
@@ -123,23 +119,8 @@ struct Args {
     mutate: bool,
     mesh: bool,
     trace_net: bool,
-    threads: Option<u32>,
     command: Option<String>,
     extra: Vec<String>,
-}
-
-impl Args {
-    /// Worker-thread request for mesh runs: explicit `--threads` wins,
-    /// else the `TAMSIM_JOBS` environment override, else `None` (serial,
-    /// with the default ring-traced latency histograms).
-    fn mesh_threads(&self) -> Option<u32> {
-        self.threads.or_else(|| {
-            std::env::var("TAMSIM_JOBS")
-                .ok()
-                .and_then(|s| s.trim().parse::<u32>().ok())
-                .filter(|&n| n > 0)
-        })
-    }
 }
 
 fn parse_args() -> Args {
@@ -186,7 +167,6 @@ fn parse_args() -> Args {
     let mut mutate = false;
     let mut mesh = false;
     let mut trace_net = false;
-    let mut threads = None::<u32>;
     let mut command = None::<String>;
     let mut extra = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -220,10 +200,6 @@ fn parse_args() -> Args {
             "--mutate" => mutate = true,
             "--mesh" => mesh = true,
             "--trace-net" => trace_net = true,
-            "--threads" => {
-                let v = need(&mut it, "--threads", "a thread count");
-                threads = Some(count("--threads", &v, u32::MAX));
-            }
             "--help" | "-h" => {
                 print!("{}", help_text());
                 std::process::exit(0);
@@ -257,7 +233,6 @@ fn parse_args() -> Args {
         mutate,
         mesh,
         trace_net,
-        threads,
         command,
         extra,
     }
@@ -486,44 +461,26 @@ fn run_mesh(args: &Args) {
     });
     let single = impls.len() == 1;
 
-    // `--threads` (or TAMSIM_JOBS) selects the parallel driver family,
-    // which is untraced: the run keeps every always-on observable
-    // (bit-identical to serial at any thread count) but skips message
-    // lifecycle records, so the latency histograms are absent. Without a
-    // thread request the serial driver runs with the default bounded
-    // ring feeding the histograms.
-    let threads = args.mesh_threads();
-    if args.trace_net && threads.is_some_and(|t| t > 1) {
-        eprintln!(
-            "error: --trace-net needs the serial driver; drop --threads (or unset TAMSIM_JOBS)"
-        );
-        std::process::exit(2);
-    }
+    // A bounded ring always feeds the latency histograms; `--trace-net`
+    // keeps every message's full lifecycle record instead.
     let mode = if args.trace_net {
         NetTraceMode::Full
-    } else if threads.is_some() {
-        NetTraceMode::Off
     } else {
         NetTraceMode::Ring(2048)
     };
     for &impl_ in &impls {
         let exp = MeshExperiment::new(impl_, args.nodes)
             .with_placement(policy)
-            .with_threads(threads.unwrap_or(1))
             .traced(mode);
         let r = exp.run(&program);
         println!(
-            "## mesh: {} ({}) on {} node(s) [{}x{}], policy {}{}\n",
+            "## mesh: {} ({}) on {} node(s) [{}x{}], policy {}\n",
             program.name,
             impl_.label(),
             r.nodes,
             r.width,
             r.height,
             r.policy.label(),
-            match &r.thread_stats {
-                Some(ts) => format!(", {} worker thread(s)", ts.len()),
-                None => String::new(),
-            }
         );
         println!(
             "cycles {}  instructions {}  halt {:?}  messages {} ({} words, {} hops)  \
@@ -607,14 +564,8 @@ fn run_mesh(args: &Args) {
                 ("queue_words_high".to_string(), r.queue_words[1].to_string()),
                 (
                     "trace_net".to_string(),
-                    match mode {
-                        NetTraceMode::Full => "full",
-                        NetTraceMode::Off => "off",
-                        _ => "ring",
-                    }
-                    .to_string(),
+                    if args.trace_net { "full" } else { "ring" }.to_string(),
                 ),
-                ("threads".to_string(), threads.unwrap_or(1).to_string()),
             ],
             started,
         );
@@ -633,8 +584,8 @@ const SERVE_PROGRAM_SEED: u64 = 0x5345_5256;
 
 /// `tamsim serve [PROG] [--rate R] [--requests N] [--seed S]
 /// [--arrivals poisson|fixed] [--origins uniform|corner] [--nodes N]
-/// [--impl am|am-en|md|all] [--policy rr|local|steal] [--threads N]
-/// [--out DIR]`: open-loop request
+/// [--impl am|am-en|md|all] [--policy rr|local|steal] [--out DIR]`:
+/// open-loop request
 /// serving on a mesh. A deterministic arrival process injects independent
 /// requests — invocations of PROG's `main`, or of a small generated
 /// call-DAG program (the fuzz generator's validated builder) when PROG is
@@ -644,8 +595,8 @@ const SERVE_PROGRAM_SEED: u64 = 0x5345_5256;
 /// row), `serve_requests.csv` (per-request lifecycle),
 /// `serve_depth.csv` (per-node outstanding-request timeline),
 /// `profile.json` (with a `serve` object), and `manifest.json`. Records
-/// are bit-identical across lockstep, fast-forward, and any `--threads`
-/// count, so every artifact byte-compares across drivers.
+/// are bit-identical across lockstep and fast-forward, so every artifact
+/// byte-compares across the two driver modes.
 fn run_serve(args: &Args) {
     use tamsim_net::{ArrivalKind, MeshExperiment, OriginDist, PlacementPolicy, ServeConfig};
     let started = Instant::now();
@@ -692,12 +643,9 @@ fn run_serve(args: &Args) {
         kind,
         origins,
     };
-    let threads = args.mesh_threads();
     let single = impls.len() == 1;
     for &impl_ in &impls {
-        let exp = MeshExperiment::new(impl_, args.nodes)
-            .with_placement(policy)
-            .with_threads(threads.unwrap_or(1));
+        let exp = MeshExperiment::new(impl_, args.nodes).with_placement(policy);
         let r = exp.serve(&program, &cfg);
         println!(
             "## serve: {} ({}) on {} node(s) [{}x{}], policy {}, {} {} arrival(s) at {}/Mcycle\n",
@@ -774,7 +722,6 @@ fn run_serve(args: &Args) {
                     "steals".to_string(),
                     r.mesh.steals.iter().sum::<u64>().to_string(),
                 ),
-                ("threads".to_string(), threads.unwrap_or(1).to_string()),
             ],
             started,
         );
@@ -899,7 +846,7 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path) {
 /// recorded mesh cache sweep, check the two drivers render byte-identical
 /// mesh-cache CSVs, and leave `DIR/mesh_perf_summary.json` beside
 /// `perf_summary.json`.
-fn run_mesh_perf(suite: &[PaperBenchmark], small: bool, nodes: u32, threads: u32, dir: &Path) {
+fn run_mesh_perf(suite: &[PaperBenchmark], small: bool, nodes: u32, dir: &Path) {
     let progs: Vec<(&str, &Program)> = suite.iter().map(|b| (b.name, &b.program)).collect();
     let node_counts = [nodes];
     eprintln!(
@@ -915,33 +862,6 @@ fn run_mesh_perf(suite: &[PaperBenchmark], small: bool, nodes: u32, threads: u32
     eprintln!("  lockstep driver     : {lockstep_seconds:.3} s");
     let fastforward_seconds = metrics::mesh_machine_seconds(&progs, &node_counts, true);
     eprintln!("  fast-forward driver : {fastforward_seconds:.3} s");
-
-    // The parallel driver against its own one-thread baseline, both runs
-    // timed without the outer run-level pool, so the ratio isolates what
-    // the epoch-barrier fan-out buys (or costs, on a single-core host).
-    // Measured on a wide mesh — at least 64 nodes — because that is the
-    // regime the parallel driver exists for: each barrier round then
-    // carries 64+ node-steps of work, instead of being dominated by the
-    // round-trip itself as a 4-node mesh would be. On a one-core host
-    // the measurement is pure barrier overhead masquerading as a
-    // slowdown, so it is skipped and recorded as such.
-    let par_nodes = nodes.max(64);
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let parallel = if host_cores > 1 {
-        let serial_onethread_seconds = metrics::mesh_parallel_seconds(&progs, &[par_nodes], 1);
-        let parallel_seconds = metrics::mesh_parallel_seconds(&progs, &[par_nodes], threads);
-        let parallel_speedup = serial_onethread_seconds / parallel_seconds;
-        eprintln!(
-            "  parallel driver     : {parallel_seconds:.3} s ({threads} threads, {par_nodes} \
-             nodes, {parallel_speedup:.2}x vs 1 thread, {host_cores} host core(s))"
-        );
-        Some((serial_onethread_seconds, parallel_seconds, parallel_speedup))
-    } else {
-        eprintln!("  parallel driver     : skipped (1 core)");
-        None
-    };
 
     // Recorded-replay: the mesh cache sweep's production path — record
     // per-node traces under each driver, replay into all 24 geometries.
@@ -985,33 +905,13 @@ fn run_mesh_perf(suite: &[PaperBenchmark], small: bool, nodes: u32, threads: u32
     );
     println!("events recorded             : {:>8}", fast_perf.events);
     println!("speedup                     : {speedup:>8.2}x");
-    match parallel {
-        Some((_, parallel_seconds, parallel_speedup)) => {
-            println!("parallel driver ({threads} threads) : {parallel_seconds:>8.3} s");
-            println!("parallel speedup (vs 1 thr) : {parallel_speedup:>8.2}x");
-        }
-        None => println!("parallel driver             : skipped (1 core)"),
-    }
 
-    // The parallel block is numeric when measured, or the literal skip
-    // marker on a one-core host, so a reader can tell "not measured"
-    // from a measured number.
-    let parallel_json = match parallel {
-        Some((serial_onethread_seconds, parallel_seconds, parallel_speedup)) => format!(
-            "\"serial_onethread_seconds\": {serial_onethread_seconds:.6},\n  \
-             \"parallel_seconds\": {parallel_seconds:.6},\n  \
-             \"parallel_threads\": {threads},\n  \"parallel_nodes\": {par_nodes},\n  \
-             \"parallel_speedup\": {parallel_speedup:.3}"
-        ),
-        None => "\"parallel\": \"skipped (1 core)\"".to_string(),
-    };
     let json = format!(
         "{{\n  \"suite\": \"{}\",\n  \"programs\": {},\n  \"implementations\": 2,\n  \
          \"nodes\": {},\n  \"events_recorded\": {},\n  \
          \"lockstep_seconds\": {:.6},\n  \"fastforward_seconds\": {:.6},\n  \
          \"recorded_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
-         \"speedup\": {:.3},\n  \
-         {},\n  \"host_cores\": {},\n  \
+         \"speedup\": {:.3},\n  \"host_cores\": {},\n  \
          \"identical_csv\": true\n}}\n",
         if small { "small" } else { "paper" },
         progs.len(),
@@ -1022,8 +922,7 @@ fn run_mesh_perf(suite: &[PaperBenchmark], small: bool, nodes: u32, threads: u32
         fast_perf.machine_seconds,
         fast_perf.replay_seconds,
         speedup,
-        parallel_json,
-        host_cores,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
     fs::create_dir_all(dir).expect("create results dir");
     fs::write(dir.join("mesh_perf_summary.json"), json).expect("write mesh_perf_summary.json");
@@ -1057,7 +956,7 @@ fn run_fuzz(args: &Args) {
         },
         if args.mesh {
             " (+ 1x1-mesh bit-identity per back-end, lockstep vs fast-forward on 4 and 72 \
-             nodes, parallel x2 on 4)"
+             nodes)"
         } else {
             ""
         }
@@ -1168,10 +1067,7 @@ fn main() {
     let dir = args.out.clone();
     if command == "perf" {
         if args.mesh {
-            // Two worker threads by default: the smallest parallel
-            // configuration, meaningful even on modest CI hosts.
-            let threads = args.mesh_threads().unwrap_or(2).max(2);
-            run_mesh_perf(&suite, args.small, args.nodes, threads, &dir);
+            run_mesh_perf(&suite, args.small, args.nodes, &dir);
         } else {
             run_perf(&suite, args.small, &dir);
         }
@@ -1405,14 +1301,11 @@ fn main() {
             "Mesh link telemetry: fib under MD on 4 nodes (golden-pinned)",
             &metrics::mesh_links_table(&links_run),
         );
-        // Node-count scaling sweep, 1 → 256 nodes under the parallel
-        // driver: cycles, traffic, and the per-worker step split are all
-        // bit-deterministic (tests/golden/mesh_scaling.csv); wall-clock
-        // speedup lives in mesh_perf_summary.json instead. Always the
+        // Node-count scaling sweep, 1 → 256 nodes: cycles and traffic are
+        // bit-deterministic (tests/golden/mesh_scaling.csv). Always the
         // small program variants: the sweep studies topology (how work
         // and traffic spread as the mesh widens), where program size
-        // only multiplies wall time — 256 nodes x 4 emulated threads of
-        // paper-size MMT takes minutes on a small host.
+        // only multiplies wall time.
         let scale_fib = tamsim_programs::fib(8);
         let scale_suite = tamsim_programs::small_suite();
         let mut scale_progs: Vec<(&str, &Program)> = vec![("fib", &scale_fib)];
@@ -1424,18 +1317,14 @@ fn main() {
         emit(
             &dir,
             "mesh_scaling",
-            &format!(
-                "Mesh scaling sweep: MD cycles, traffic, and worker balance to 256 nodes \
-                 ({} threads, small workloads)",
-                metrics::MESH_SCALING_THREADS
-            ),
+            "Mesh scaling sweep: MD cycles and traffic to 256 nodes (small workloads)",
             &metrics::mesh_scaling(&scale_progs, &metrics::MESH_SCALING_SWEEP),
         );
         // Open-loop serve load sweep: fib(8) requests on a 2x2 mesh at
         // three offered loads under every back-end — one below saturation
         // (latency ≈ service time), one near it, one far past it
         // (queueing-dominated tail). Completion records are bit-identical
-        // across drivers and thread counts, so the CSV is golden-gated
+        // across driver modes, so the CSV is golden-gated
         // (tests/golden/serve_latency.csv).
         {
             use tamsim_net::{
@@ -1532,6 +1421,9 @@ mod tests {
         assert!(help.contains("fuzz, serve: master seed"));
         assert!(help.contains("mesh, serve: frame placement"));
         assert!(help.contains("mesh, serve, perf --mesh: node count"));
-        assert!(help.contains("mesh, serve, perf --mesh: host worker threads"));
+        assert!(
+            !help.contains("--threads"),
+            "the mesh has no worker-thread knob"
+        );
     }
 }

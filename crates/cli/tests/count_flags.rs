@@ -1,8 +1,8 @@
-//! Count flags (`--nodes`, `--requests`, `--threads`) are range-checked
-//! before they narrow to `u32`: an out-of-range value exits 2 with an
-//! error naming the flag. It must never wrap into range, and never reach
-//! a library assert (which would panic, under `perf --mesh` inside a
-//! worker thread).
+//! Count flags (`--nodes`, `--requests`) are range-checked before they
+//! narrow to `u32`: an out-of-range value exits 2 with an error naming
+//! the flag. It must never wrap into range, and never reach a library
+//! assert (which would panic). `--threads` is not a flag: a mesh run has
+//! no worker threads.
 
 use std::process::{Command, Output};
 
@@ -48,10 +48,24 @@ fn request_counts_must_be_positive_and_fit_a_request_id() {
 }
 
 #[test]
-fn thread_counts_must_not_wrap() {
-    // 2^32 + 2 would wrap to two worker threads.
-    assert_rejected(&["mesh", "fib", "--threads", "4294967298"], "--threads");
-    assert_rejected(&["mesh", "fib", "--threads", "0"], "--threads");
+fn threads_flag_is_unknown() {
+    for args in [
+        &["mesh", "fib", "--threads", "4"][..],
+        &["serve", "--threads", "2"][..],
+    ] {
+        let out = tamsim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} must exit 2; stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("error: unknown flag '--threads'"),
+            "{args:?} must name the unknown flag; stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
 }
 
 #[test]

@@ -22,8 +22,8 @@ pub use decode::{DOp, DOperand, DSendSrc, DecodedImage};
 pub use disasm::{disasm_op, disasm_region};
 pub use isa::{AluOp, FAluOp, MOp, Mark, Operand, Priority, Reg, SendSrc};
 pub use machine::{
-    HaltReason, HaltSet, Loopback, Machine, MachineConfig, NetPort, RouteOutcome, RunError,
-    RunStats, Step, SysLayout, Wake,
+    HaltReason, Loopback, Machine, MachineConfig, NetPort, RouteOutcome, RunError, RunStats, Step,
+    SysLayout, Wake,
 };
 pub use memory::Memory;
 pub use queue::{MessageQueue, MsgRef, DEFAULT_QUEUE_WORDS};

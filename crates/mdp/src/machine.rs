@@ -13,15 +13,16 @@
 //! * Hardware message buffering writes arriving words directly into queue
 //!   memory (the top of the memory hierarchy).
 //!
-//! The machine halts explicitly (a completion inlet executes [`MOp::Halt`])
-//! or quiesces when both queues are empty and the low-priority context has
-//! suspended — on a uniprocessor no further work can ever arrive.
+//! The machine halts explicitly (a completion inlet executes
+//! [`MOp::Halt`](crate::MOp::Halt)) or quiesces when both queues are
+//! empty and the low-priority context has suspended — on a uniprocessor
+//! no further work can ever arrive.
 //!
 //! # The executor
 //!
 //! One loop executes the [`DecodedImage`]: it runs free transitions
-//! (message dispatch and [`MOp::Mark`]) and at most a budget of costed
-//! instructions per call. [`Machine::step`] is a budget of one, the
+//! (message dispatch and [`MOp::Mark`](crate::MOp::Mark)) and at most a
+//! budget of costed instructions per call. [`Machine::step`] is a budget of one, the
 //! mesh's one cycle; [`Machine::run`] is an unbounded budget over the
 //! always-local [`Loopback`] port. The contract:
 //!
@@ -39,12 +40,13 @@
 //!   one ([`Step::Blocked`]) has no effect and retries verbatim.
 //!
 //! `tamsim-check` holds an independent enum-walking interpreter over the
-//! [`CodeImage`] and requires this executor to match it event for event.
+//! [`CodeImage`](crate::CodeImage) and requires this executor to match it
+//! event for event.
 
 use crate::decode::{DOp, DOperand, DSendSrc, DecodedImage, INVALID_TARGET};
 use crate::queue::{MessageQueue, MsgRef, DEFAULT_QUEUE_WORDS};
 use crate::AluOp;
-use crate::{CodeImage, Hooks, MOp, Memory, Priority, Reg, Word};
+use crate::{Hooks, Memory, Priority, Reg, Word};
 use tamsim_trace::{Access, MemoryMap};
 
 /// Addresses of the system-data structures derived from the configuration.
@@ -118,7 +120,8 @@ impl MachineConfig {
 /// Why a run ended successfully.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HaltReason {
-    /// An explicit [`MOp::Halt`] was executed (normal completion).
+    /// An explicit [`MOp::Halt`](crate::MOp::Halt) was executed (normal
+    /// completion).
     Explicit,
     /// Both queues drained and the low context suspended (quiescence; for a
     /// correct program this is also completion, for a buggy one deadlock).
@@ -162,7 +165,8 @@ pub enum Step {
     /// A send found the network interface busy; nothing happened (no
     /// fetch, no counters, no pc change). Retry next cycle.
     Blocked,
-    /// The machine executed [`MOp::Halt`] (or quiesced, for [`Machine::run`]).
+    /// The machine executed [`MOp::Halt`](crate::MOp::Halt) (or quiesced,
+    /// for [`Machine::run`]).
     Halted(HaltReason),
 }
 
@@ -460,9 +464,10 @@ impl<'c> Machine<'c> {
 
     /// Execute one instruction, offering any `SEND` to `net` first.
     ///
-    /// Free transitions — message dispatch and [`MOp::Mark`] — do not end
-    /// the step: the machine keeps going until it executes one costed
-    /// instruction ([`Step::Ran`]; a fused pair runs its first half),
+    /// Free transitions — message dispatch and
+    /// [`MOp::Mark`](crate::MOp::Mark) — do not end the step: the machine
+    /// keeps going until it executes one costed instruction
+    /// ([`Step::Ran`]; a fused pair runs its first half),
     /// runs out of work ([`Step::Idle`]), stalls on a busy network port
     /// ([`Step::Blocked`], zero side effects), or halts. One
     /// `Ran`/`Blocked` step is one machine cycle on the mesh's global
@@ -1019,114 +1024,6 @@ impl<'c> Machine<'c> {
             Priority::Low => self.low_pc = Some(pc),
         }
     }
-
-    /// Whether the *next* [`Machine::step`] could possibly execute
-    /// [`MOp::Halt`] (or panic on a wild pc).
-    ///
-    /// Within one step the only free transitions are message dispatch and
-    /// [`MOp::Mark`], so the step halts iff the Mark-chain from the pc it
-    /// ends up executing reaches a `Halt` — which [`HaltSet`] precomputes
-    /// per code address. The pc is found by replaying the step loop's
-    /// dispatch decision without side effects:
-    ///
-    /// 1. a running high context executes from `high_pc`;
-    /// 2. otherwise a pending high message dispatches (when the low
-    ///    context is suspended or interruptible) to the handler named by
-    ///    the queue-head's first word;
-    /// 3. otherwise a running low context executes from `low_pc`;
-    /// 4. otherwise a pending low message dispatches likewise;
-    /// 5. otherwise the step is `Idle` and cannot halt.
-    ///
-    /// Mark never changes queues or the interrupt flag, so the dispatch
-    /// decision is stable across the chain and one lookup suffices. The
-    /// answer may be a false positive (pc chains out of the image — real
-    /// execution would panic; a concurrent driver must reproduce that
-    /// panic deterministically too, so it treats "might halt" as "run
-    /// this machine serially") but never a false negative: the executor
-    /// never fuses `Halt`.
-    pub fn might_halt(&self, halts: &HaltSet) -> bool {
-        if let Some(pc) = self.high_pc {
-            return halts.reaches_halt(pc);
-        }
-        let high_q = &self.queues[Priority::High.index()];
-        if !high_q.is_empty() && (self.low_pc.is_none() || self.ints_enabled) {
-            let m = high_q.front().expect("non-empty queue has a front");
-            let handler = self.mem.read(high_q.addr_of(m.start, 0)).as_addr();
-            return halts.reaches_halt(handler);
-        }
-        if let Some(pc) = self.low_pc {
-            return halts.reaches_halt(pc);
-        }
-        let low_q = &self.queues[Priority::Low.index()];
-        if !low_q.is_empty() {
-            let m = low_q.front().expect("non-empty queue has a front");
-            let handler = self.mem.read(low_q.addr_of(m.start, 0)).as_addr();
-            return halts.reaches_halt(handler);
-        }
-        false
-    }
-}
-
-/// Per-address "can a step starting here halt?" bitmap over a
-/// [`CodeImage`], for concurrent mesh drivers.
-///
-/// `reaches_halt(pc)` is true iff executing from `pc` can reach
-/// [`MOp::Halt`] through free transitions alone — that is, the op at `pc`
-/// is `Halt`, or it is [`MOp::Mark`] and the chain from `pc + 4` reaches
-/// one (Mark does not end a step). Addresses outside the image are
-/// conservatively true: real execution panics on the wild jump, and the
-/// caller must funnel that machine onto the deterministic serial path so
-/// the panic reproduces identically.
-#[derive(Debug, Clone)]
-pub struct HaltSet {
-    sys_base: u32,
-    user_base: u32,
-    sys: Vec<bool>,
-    user: Vec<bool>,
-}
-
-impl HaltSet {
-    /// Precompute the halt-reachability bitmap for `code`.
-    pub fn new(code: &CodeImage) -> Self {
-        HaltSet {
-            sys_base: code.sys_base(),
-            user_base: code.user_base(),
-            sys: Self::chain(code.sys_ops()),
-            user: Self::chain(code.user_ops()),
-        }
-    }
-
-    /// Reverse scan: `ha[i] = op[i] == Halt || (op[i] == Mark && ha[i+1])`,
-    /// with a Mark falling off the region end conservatively true (real
-    /// execution would wild-jump).
-    fn chain(ops: &[MOp]) -> Vec<bool> {
-        let mut ha = vec![false; ops.len()];
-        for i in (0..ops.len()).rev() {
-            ha[i] = match ops[i] {
-                MOp::Halt => true,
-                MOp::Mark(_) => i + 1 >= ops.len() || ha[i + 1],
-                _ => false,
-            };
-        }
-        ha
-    }
-
-    /// Whether a step starting at `pc` can execute `Halt` (conservatively
-    /// true outside the image). Uses the same `(pc - base) / 4` index
-    /// truncation as [`CodeImage::at`], so unaligned fuzz-generated pcs
-    /// resolve to exactly the op real execution would run.
-    #[inline]
-    pub fn reaches_halt(&self, pc: u32) -> bool {
-        let (base, region) = if pc >= self.user_base {
-            (self.user_base, &self.user)
-        } else if pc >= self.sys_base {
-            (self.sys_base, &self.sys)
-        } else {
-            return true;
-        };
-        let i = ((pc - base) / 4) as usize;
-        region.get(i).copied().unwrap_or(true)
-    }
 }
 
 #[cfg(test)]
@@ -1134,6 +1031,7 @@ mod tests {
     use super::*;
     use crate::Mark;
     use crate::NoHooks;
+    use crate::{CodeImage, MOp};
     use crate::{Operand, SendSrc};
     use tamsim_trace::{AccessKind, VecSink};
 
@@ -2385,106 +2283,5 @@ mod tests {
             hooks.events[2..],
             [Access::fetch(entry + 8), Access::write(fb)]
         );
-    }
-
-    #[test]
-    fn halt_set_follows_mark_chains() {
-        let (img, entry) = user_image(vec![
-            /* 0 */ MOp::Mark(Mark::SysStart),
-            /* 1 */ MOp::Mark(Mark::ThreadEnd),
-            /* 2 */ MOp::Halt,
-            /* 3 */
-            MOp::MovI {
-                d: Reg(0),
-                v: Word::ZERO,
-            },
-            /* 4 */ MOp::Suspend,
-            /* 5 */ MOp::Mark(Mark::SysStart), // chains off the region end
-        ]);
-        let halts = HaltSet::new(&img);
-        // Mark, Mark, Halt: every chain position reaches the halt.
-        assert!(halts.reaches_halt(entry));
-        assert!(halts.reaches_halt(entry + 4));
-        assert!(halts.reaches_halt(entry + 8));
-        // A costed instruction ends the step before any halt.
-        assert!(!halts.reaches_halt(entry + 12));
-        assert!(!halts.reaches_halt(entry + 16));
-        // Mark falling off the image end: conservatively true (wild jump).
-        assert!(halts.reaches_halt(entry + 20));
-        // Out-of-image pcs: conservatively true.
-        assert!(halts.reaches_halt(entry + 0x400));
-        assert!(halts.reaches_halt(map().system_code_base + 0x400));
-    }
-
-    #[test]
-    fn might_halt_replays_the_dispatch_decision() {
-        let (img, entry) = user_image(vec![
-            /* 0: halting handler */ MOp::Mark(Mark::SysStart),
-            /* 1 */ MOp::Halt,
-            /* 2: benign handler */ MOp::Suspend,
-        ]);
-        let halts = HaltSet::new(&img);
-        let halting = entry;
-        let benign = entry + 8;
-        let dec = DecodedImage::decode(&img);
-
-        // Idle machine: a step returns Idle, never Halted.
-        let mut m = Machine::new(MachineConfig::default(), &dec);
-        assert!(!m.might_halt(&halts));
-
-        // Running low context on a benign pc vs. a halting pc.
-        m.start_low(benign);
-        assert!(!m.might_halt(&halts));
-        m.start_low(halting);
-        assert!(m.might_halt(&halts));
-
-        // A queued low message is consulted only when no context runs:
-        // handler word decides.
-        let mut m = Machine::new(MachineConfig::default(), &dec);
-        m.inject(Priority::Low, &[Word::from_addr(benign)]).unwrap();
-        assert!(!m.might_halt(&halts));
-        let mut m = Machine::new(MachineConfig::default(), &dec);
-        m.inject(Priority::Low, &[Word::from_addr(halting)])
-            .unwrap();
-        assert!(m.might_halt(&halts));
-
-        // A pending high message preempts an interruptible low context.
-        let mut m = Machine::new(MachineConfig::default(), &dec);
-        m.start_low(benign);
-        m.inject(Priority::High, &[Word::from_addr(halting)])
-            .unwrap();
-        assert!(m.might_halt(&halts));
-
-        // Verdicts match actual execution.
-        let mut yes = Machine::new(MachineConfig::default(), &dec);
-        yes.start_low(halting);
-        assert!(matches!(
-            yes.step(&mut NoHooks, &mut Loopback).unwrap(),
-            Step::Halted(HaltReason::Explicit)
-        ));
-        let mut no = Machine::new(MachineConfig::default(), &dec);
-        no.start_low(benign);
-        assert!(!matches!(
-            no.step(&mut NoHooks, &mut Loopback).unwrap(),
-            Step::Halted(_)
-        ));
-    }
-
-    #[test]
-    fn might_halt_respects_disabled_interrupts() {
-        let (img, entry) = user_image(vec![
-            /* 0: halting high handler */ MOp::Halt,
-            /* 1: benign low code */ MOp::Suspend,
-        ]);
-        let halts = HaltSet::new(&img);
-        let dec = DecodedImage::decode(&img);
-        let mut m = Machine::new(MachineConfig::default(), &dec);
-        m.start_low(entry + 4);
-        m.inject(Priority::High, &[Word::from_addr(entry)]).unwrap();
-        // Interrupts enabled: the high dispatch fires next step.
-        assert!(m.might_halt(&halts));
-        // Disabled: the low context runs instead.
-        m.ints_enabled = false;
-        assert!(!m.might_halt(&halts));
     }
 }

@@ -23,8 +23,8 @@ pub use experiments::{capture_schedule, figure1, figure1_program, figure2, Sched
 pub use figures::{block_sweep, figure3, figure6, figure_per_program};
 pub use mesh::{
     load_imbalance, mesh_cache_collect, mesh_cache_sweep, mesh_cache_table, mesh_machine_seconds,
-    mesh_node_table, mesh_parallel_seconds, mesh_run, mesh_scaling, mesh_sweep, MeshCachePerf,
-    MeshCacheRun, MESH_CACHE_NODE_SWEEP, MESH_NODE_SWEEP, MESH_SCALING_SWEEP, MESH_SCALING_THREADS,
+    mesh_node_table, mesh_run, mesh_scaling, mesh_sweep, MeshCachePerf, MeshCacheRun,
+    MESH_CACHE_NODE_SWEEP, MESH_NODE_SWEEP, MESH_SCALING_SWEEP,
 };
 pub use net::{
     mesh_latency_table, mesh_links_table, mesh_profile, net_summary, net_trace_view, node_tracks,

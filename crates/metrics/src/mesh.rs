@@ -127,21 +127,10 @@ pub fn mesh_sweep(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table {
 /// of the widened 8-bit node tag.
 pub const MESH_SCALING_SWEEP: [u32; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// Worker-thread count the golden scaling sweep pins its per-thread
-/// columns to. The columns depend on the thread count (chunking) but not
-/// on the host — the parallel driver is bit-deterministic — so the CSV
-/// stays golden-gateable on any machine.
-pub const MESH_SCALING_THREADS: u32 = 4;
-
 /// The 1 → 256-node scaling sweep behind `tests/golden/mesh_scaling.csv`:
-/// one row per (program, node count) under MD, run by the parallel driver
-/// at [`MESH_SCALING_THREADS`] workers. Cycles, traffic, and the
-/// per-worker step split are all bit-deterministic; the CSV carries no
-/// wall-clock (timing lives in `mesh_perf_summary.json`).
-///
-/// `balance` is max/min instructions across workers — the load-imbalance
-/// figure that bounds the parallel driver's achievable speedup on this
-/// workload.
+/// one row per (program, node count) under MD. Cycles and traffic are
+/// bit-deterministic; the CSV carries no wall-clock (timing lives in
+/// `mesh_perf_summary.json`).
 pub fn mesh_scaling(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table {
     let jobs: Vec<(usize, u32)> = programs
         .iter()
@@ -149,9 +138,7 @@ pub fn mesh_scaling(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table
         .flat_map(|(pi, _)| node_counts.iter().map(move |&n| (pi, n)))
         .collect();
     let runs = tamsim_trace::par_map(jobs, |(pi, n)| {
-        MeshExperiment::new(Implementation::Md, n)
-            .with_threads(MESH_SCALING_THREADS)
-            .run(programs[pi].1)
+        mesh_run(programs[pi].1, Implementation::Md, n)
     });
 
     let mut t = Table::new(&[
@@ -161,25 +148,11 @@ pub fn mesh_scaling(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table
         "md_cycles",
         "md_msgs",
         "md_hops",
-        "workers",
-        "min_worker_steps",
-        "max_worker_steps",
-        "balance",
     ]);
     let mut it = runs.into_iter();
     for (name, _) in programs {
         for &n in node_counts {
             let r = it.next().unwrap();
-            // Serial runs (1 node or 1 thread) report no per-thread split;
-            // treat them as one worker owning everything.
-            let (workers, min_steps, max_steps) = match &r.thread_stats {
-                Some(ts) => (
-                    ts.len() as u64,
-                    ts.iter().map(|t| t.steps).min().unwrap_or(0),
-                    ts.iter().map(|t| t.steps).max().unwrap_or(0),
-                ),
-                None => (1, r.instructions, r.instructions),
-            };
             t.row(vec![
                 name.to_string(),
                 n.to_string(),
@@ -187,14 +160,6 @@ pub fn mesh_scaling(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table
                 r.cycles.to_string(),
                 r.net.delivered_msgs.to_string(),
                 r.net.hop_traversals.to_string(),
-                workers.to_string(),
-                min_steps.to_string(),
-                max_steps.to_string(),
-                r3(if min_steps > 0 {
-                    max_steps as f64 / min_steps as f64
-                } else {
-                    0.0
-                }),
             ]);
         }
     }
@@ -367,31 +332,6 @@ pub fn mesh_machine_seconds(
     seconds
 }
 
-/// Wall seconds for one MD pass over the suite with each mesh run fanned
-/// across `threads` worker threads internally. The runs execute one at a
-/// time — no outer pool — so the measurement isolates the parallel
-/// driver's own speedup (or overhead, on a single-core host) instead of
-/// mixing it with run-level parallelism. Unlike the cache-sweep timings
-/// this is a driver benchmark, not a cache study, so one implementation
-/// and one placement policy suffice; the full matrix would only multiply
-/// the wall time without changing the speedup ratio.
-pub fn mesh_parallel_seconds(
-    programs: &[(&str, &Program)],
-    node_counts: &[u32],
-    threads: u32,
-) -> f64 {
-    let t0 = Instant::now();
-    for (_, program) in programs {
-        for &n in node_counts {
-            let exp = MeshExperiment::new(Implementation::Md, n)
-                .with_placement(PlacementPolicy::RoundRobin)
-                .with_threads(threads);
-            assert!(exp.run(program).cycles > 0);
-        }
-    }
-    t0.elapsed().as_secs_f64()
-}
-
 /// Render collected mesh cache runs as the golden table: one row per
 /// (program, nodes, policy, cache size), AM/MD misses at 4-way, and the
 /// MD/AM total-cycle ratio per associativity at the paper's 24-cycle miss
@@ -522,28 +462,22 @@ mod tests {
     }
 
     #[test]
-    fn scaling_table_matches_the_serial_driver_and_splits_workers() {
+    fn scaling_table_matches_single_mesh_runs() {
         let fib = tamsim_programs::fib(8);
         let table = mesh_scaling(&[("fib", &fib)], &[1, 2, 4]);
         let csv = table.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 4, "header + 3 rows:\n{csv}");
-        // Cycle counts come from the parallel driver; they must equal the
-        // serial driver's.
+        assert_eq!(lines[0], "program,nodes,mesh,md_cycles,md_msgs,md_hops");
+        // The fanned-out sweep must report exactly what one run reports.
         for (line, n) in lines[1..].iter().zip([1u32, 2, 4]) {
-            let serial = mesh_run(&fib, Implementation::Md, n);
+            let r = mesh_run(&fib, Implementation::Md, n);
             let cells: Vec<&str> = line.split(',').collect();
             assert_eq!(cells[1], n.to_string());
-            assert_eq!(cells[3], serial.cycles.to_string(), "row: {line}");
+            assert_eq!(cells[3], r.cycles.to_string(), "row: {line}");
+            assert_eq!(cells[4], r.net.delivered_msgs.to_string(), "row: {line}");
+            assert_eq!(cells[5], r.net.hop_traversals.to_string(), "row: {line}");
         }
-        // One worker on one node; a full complement once nodes >= threads.
-        assert!(lines[1].split(',').nth(6) == Some("1"), "{}", lines[1]);
-        assert_eq!(
-            lines[3].split(',').nth(6),
-            Some(MESH_SCALING_THREADS.to_string().as_str()),
-            "{}",
-            lines[3]
-        );
     }
 
     #[test]

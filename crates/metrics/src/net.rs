@@ -12,7 +12,7 @@ use tamsim_mdp::Priority;
 use tamsim_net::{BufKind, LatencyHist, MeshRunResult, NetTrace, NodeState};
 use tamsim_obs::{
     MeshCounterSample, MeshFlow, MeshLatencyRow, MeshLinkRow, MeshNetSummary, MeshNetTrace,
-    MeshParallelSummary, MeshProfileMeta, MeshThreadRow, NodeTrack, NodeTrackSpan,
+    MeshProfileMeta, NodeTrack, NodeTrackSpan,
 };
 
 use crate::render::{r3, Table};
@@ -194,9 +194,7 @@ pub fn net_summary(r: &MeshRunResult) -> MeshNetSummary {
     }
 }
 
-/// Render the mesh `profile.json`: run identity, the `parallel` object
-/// (per-thread utilization, present only for parallel-driver runs), plus
-/// the `net` object.
+/// Render the mesh `profile.json`: run identity plus the `net` object.
 pub fn mesh_profile(r: &MeshRunResult, program: &str) -> String {
     let meta = MeshProfileMeta {
         program: program.to_string(),
@@ -207,19 +205,7 @@ pub fn mesh_profile(r: &MeshRunResult, program: &str) -> String {
         cycles: r.cycles,
         instructions: r.instructions,
     };
-    let parallel = r.thread_stats.as_ref().map(|ts| MeshParallelSummary {
-        threads: ts.len() as u32,
-        workers: ts
-            .iter()
-            .map(|t| MeshThreadRow {
-                first_node: t.first_node,
-                nodes: t.nodes,
-                steps: t.steps,
-                deliveries: t.deliveries,
-            })
-            .collect(),
-    });
-    tamsim_obs::mesh_profile_json(&meta, &net_summary(r), parallel.as_ref(), None)
+    tamsim_obs::mesh_profile_json(&meta, &net_summary(r), None)
 }
 
 /// The link-utilization heatmap behind `mesh_links.csv`: one row per

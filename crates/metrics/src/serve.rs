@@ -3,10 +3,10 @@
 //! outstanding-request timelines, and the mesh profile's `serve` object.
 //!
 //! Everything here is a pure function of the run's
-//! [`tamsim_net::RequestRecord`]s, which the drivers pin bit-identical
-//! across lockstep, fast-forward, and every parallel thread count — so
-//! every table and the profile JSON are byte-stable too (the golden and
-//! determinism CI gates rely on this).
+//! [`tamsim_net::RequestRecord`]s, which the driver pins bit-identical
+//! across lockstep and fast-forward — so every table and the profile
+//! JSON are byte-stable too (the golden and determinism CI gates rely on
+//! this).
 
 use tamsim_net::{ArrivalKind, LatencyHist, MeshRunResult, ServeRunResult};
 use tamsim_obs::{MeshProfileMeta, MeshServeSummary};
@@ -224,9 +224,7 @@ pub fn serve_profile(r: &ServeRunResult, program: &str) -> String {
         cycles: m.cycles,
         instructions: m.instructions,
     };
-    // Serve runs are untraced and reported per scenario; the parallel
-    // object stays out so profiles byte-compare across thread counts.
-    tamsim_obs::mesh_profile_json(&meta, &net_summary(m), None, Some(&serve_summary(r)))
+    tamsim_obs::mesh_profile_json(&meta, &net_summary(m), Some(&serve_summary(r)))
 }
 
 #[cfg(test)]
@@ -320,7 +318,6 @@ mod tests {
              \"offered_ppm\":20000,"
         ));
         assert!(profile.contains("\"requests\":16,"));
-        assert!(!profile.contains("\"parallel\""));
         let s = serve_summary(&r);
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999);
         assert_eq!(s.p999, s.max, "16 samples: p999 is the max");

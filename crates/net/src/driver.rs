@@ -91,13 +91,13 @@ impl ActivityTrack {
     /// next runs or the run ends), so they become an `Idle` span first.
     /// Spans are maximal either way, so a lazily recorded track is
     /// bit-identical to one recorded cycle by cycle.
-    pub(crate) fn record(&mut self, cycle: u64, state: NodeState) {
+    fn record(&mut self, cycle: u64, state: NodeState) {
         self.close(cycle);
         self.extend(cycle, state, 1);
     }
 
     /// Record `Idle` from the end of the track up to `end` (exclusive).
-    pub(crate) fn close(&mut self, end: u64) {
+    fn close(&mut self, end: u64) {
         let last = self.spans.last().map_or(0, |s| s.start + s.cycles);
         if last < end {
             self.extend(last, NodeState::Idle, end - last);
@@ -132,7 +132,7 @@ impl ActivityTrack {
 /// was idle since its last record stayed idle to the end, except at an
 /// explicit halt: the halting node's cycle ends the mesh mid-phase, so
 /// nodes after it never stepped in that last cycle and end one earlier.
-pub(crate) fn close_tracks(activity: &mut [ActivityTrack], cycles: u64, halted: Option<usize>) {
+fn close_tracks(activity: &mut [ActivityTrack], cycles: u64, halted: Option<usize>) {
     for (n, track) in activity.iter_mut().enumerate() {
         let end = match halted {
             Some(h) if n > h => cycles - 1,
@@ -220,27 +220,6 @@ pub struct MeshRunResult {
     /// suspended with posted frames (the arrival/suspend race), summed
     /// over all attempts.
     pub backstop_rearms: u64,
-    /// Per-worker counters when the parallel driver ran (`None` on the
-    /// serial drivers). Everything here is a deterministic function of
-    /// the program and the `(nodes, threads)` partition — node ranges and
-    /// work counts, never wall-clock — so two runs at the same thread
-    /// count produce identical values. Deliberately excluded from the
-    /// cross-driver bit-identity differentials (thread counts differ).
-    pub thread_stats: Option<Vec<ThreadStats>>,
-}
-
-/// One parallel-driver worker's deterministic utilization counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadStats {
-    /// First node of this worker's contiguous partition.
-    pub first_node: u32,
-    /// Number of nodes in the partition.
-    pub nodes: u32,
-    /// Instructions executed by this worker's nodes (including cycles the
-    /// driver ran serially for halt-exactness, attributed to the owner).
-    pub steps: u64,
-    /// Messages this worker's nodes retired from the fabric.
-    pub deliveries: u64,
 }
 
 impl MeshRunResult {
@@ -297,12 +276,6 @@ pub struct MeshExperiment {
     /// Causal network tracing (default [`NetTraceMode::Off`]: the run
     /// loop monomorphizes over [`NoNetHooks`] and pays nothing).
     pub net_trace: NetTraceMode,
-    /// Host worker threads for the parallel driver (default 1: serial).
-    /// With more than one thread (and more than one node, untraced), the
-    /// run fans machine stepping and message retirement out across a
-    /// fixed pool between deterministic epoch barriers — results stay
-    /// bit-identical to the serial drivers (see `par.rs`).
-    pub threads: u32,
 }
 
 impl MeshExperiment {
@@ -325,15 +298,14 @@ impl MeshExperiment {
             fast_forward: true,
             watchdog_cycles: WATCHDOG_CYCLES,
             net_trace: NetTraceMode::Off,
-            threads: 1,
         }
     }
 
-    /// Set the host worker-thread count for the parallel driver. Values
-    /// above the node count are clamped; 0 or 1 selects the serial
-    /// drivers. Results are bit-identical at every thread count.
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = threads.max(1);
+    /// Returns the experiment unchanged: a mesh run uses no host threads.
+    /// The only caller is the ledger's `net.par_speedup` probe
+    /// (`ledger/src/probe.rs`); delete this stub together with that probe.
+    #[deprecated(note = "a mesh run has one driver and no worker threads; this is a no-op")]
+    pub fn with_threads(self, _threads: u32) -> Self {
         self
     }
 
@@ -368,7 +340,7 @@ impl MeshExperiment {
         self
     }
 
-    pub(crate) fn config(&self, queue_words: [u32; 2]) -> MachineConfig {
+    fn config(&self, queue_words: [u32; 2]) -> MachineConfig {
         MachineConfig {
             queue_words,
             fuel: self.fuel,
@@ -385,7 +357,7 @@ impl MeshExperiment {
     /// everywhere is the only cure; a program whose demand outgrows the
     /// system data region is diagnosed as gridlocked rather than left to
     /// trip the machine's layout assert at the next boot.
-    pub(crate) fn double_queues_for_gridlock(&self, queue_words: &mut [u32; 2]) {
+    fn double_queues_for_gridlock(&self, queue_words: &mut [u32; 2]) {
         for w in queue_words.iter_mut() {
             *w *= 2;
         }
@@ -396,10 +368,6 @@ impl MeshExperiment {
     }
 
     /// Run `program` on the mesh to completion.
-    ///
-    /// With [`MeshExperiment::threads`] > 1 (and more than one node,
-    /// untraced) this uses the parallel driver; traced, single-node, and
-    /// single-thread runs use the serial loop. All paths are bit-identical.
     pub fn run(&self, program: &Program) -> MeshRunResult {
         self.run_batch(program, false).0
     }
@@ -418,16 +386,12 @@ impl MeshExperiment {
         MeshRecordedRun { run, logs }
     }
 
-    /// A batch run on the driver [`MeshExperiment::run`] picks; `record`
-    /// keeps one access trace per node (empty otherwise). Untraced, the
-    /// serial loop monomorphizes over [`NoNetHooks`] (`H::ENABLED ==
-    /// false`), so every net-hook call and dispatch-detection snapshot
-    /// compiles away.
+    /// A batch run; `record` keeps one access trace per node (empty
+    /// otherwise). Untraced, the run loop monomorphizes over
+    /// [`NoNetHooks`] (`H::ENABLED == false`), so every net-hook call and
+    /// dispatch-detection snapshot compiles away.
     fn run_batch(&self, program: &Program, record: bool) -> (MeshRunResult, Vec<TraceLog>) {
         let (run, _, logs) = match self.net_trace {
-            NetTraceMode::Off if self.threads > 1 && self.nodes > 1 => {
-                self.run_parallel_serve(program, None, record)
-            }
             NetTraceMode::Off => self.run_serve_with(program, &mut NoNetHooks, None, record),
             mode => {
                 let mut rec = NetTraceRecorder::new(mode, self.nodes);
@@ -439,7 +403,7 @@ impl MeshExperiment {
         (run, logs)
     }
 
-    /// The serial run loop, optionally in serve mode: with a
+    /// The mesh run loop, optionally in serve mode: with a
     /// [`ServePlan`] the batch boot is suppressed and the arrival pump
     /// injects scheduled requests instead (see `serve.rs`); the second
     /// return value carries the per-request cells. With `record`, the
@@ -919,7 +883,6 @@ impl MeshExperiment {
                     .map_or_else(|| vec![0; k], |e| e.steals_from.clone()),
                 watchdog_trips,
                 backstop_rearms,
-                thread_stats: None,
             };
             let logs = hooks.into_iter().filter_map(|h| h.log).collect();
             return (run, serve.map(|s| s.cells), logs);
@@ -935,7 +898,7 @@ impl MeshExperiment {
     /// message; nodes `n > 0` skip the arrays (they live on node 0) and
     /// point their frame/heap bump allocators at *tagged* addresses, so
     /// every frame or heap cell they hand out carries its home-node tag.
-    pub(crate) fn boot_nodes<'c>(&self, linked: &'c Linked, inject_boot: bool) -> Vec<Machine<'c>> {
+    fn boot_nodes<'c>(&self, linked: &'c Linked, inject_boot: bool) -> Vec<Machine<'c>> {
         (0..self.nodes)
             .map(|n| {
                 let mut machine = Machine::new(linked.cfg, &linked.decoded);

@@ -694,200 +694,6 @@ enum SourceQueue {
     Inject(usize),
 }
 
-/// Per-worker deltas of the fabric's *global* counters, accumulated by
-/// [`FabricLanes`] operations and folded back by [`Fabric::absorb`].
-///
-/// The parallel mesh driver partitions nodes across host threads; each
-/// thread touches only its own nodes' inject and receive buffers, but the
-/// aggregate [`NetStats`] counters are shared. Rather than contend on
-/// atomics (and order-perturb nothing anyway — sums commute), each worker
-/// accumulates deltas and the main thread sums them at the next barrier,
-/// which keeps every published statistic bit-identical to the serial
-/// drivers. The same goes for the occupancy index: a worker lists the
-/// nodes whose buffers it changed, and the main thread re-syncs just
-/// those.
-#[derive(Debug, Clone, Default)]
-pub struct LaneDeltas {
-    /// Messages accepted into an inject queue.
-    pub injected_msgs: u64,
-    /// Words accepted into an inject queue.
-    pub injected_words: u64,
-    /// Messages handed to a destination machine.
-    pub delivered_msgs: u64,
-    /// Words handed to a destination machine.
-    pub delivered_words: u64,
-    /// Sum over delivered messages of (delivery cycle − injection cycle).
-    pub latency_total: u64,
-    /// Refused injections (sender NI stalls).
-    pub inject_stalls: u64,
-    /// Ready messages held back by a full machine queue.
-    pub deliver_stalls: u64,
-    /// Net change in buffered messages (+1 per inject, −1 per delivery).
-    pub in_flight: i64,
-    /// Nodes whose inject or receive buffer changed (repeats allowed).
-    pub touched: Vec<u32>,
-}
-
-impl LaneDeltas {
-    /// Zero every counter for the next round, keeping `touched`'s
-    /// allocation.
-    pub(crate) fn clear(&mut self) {
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.clear();
-        *self = LaneDeltas {
-            touched,
-            ..LaneDeltas::default()
-        };
-    }
-}
-
-/// Raw per-node views of the fabric's endpoint buffers, for the parallel
-/// mesh driver.
-///
-/// Between the driver's epoch barriers, worker thread `t` owns the inject
-/// and receive buffers (and the deliver-stall counter) of exactly the
-/// nodes in its partition; these methods mirror [`Fabric::try_inject`],
-/// [`Fabric::ready_recv`], [`Fabric::pop_recv`], and
-/// [`Fabric::note_deliver_stall`] on that per-node state, routing the
-/// global counters into a per-worker [`LaneDeltas`] instead. Link buffers
-/// and [`Fabric::tick`] stay main-thread-only. `trace_id` is assigned 0
-/// on every lane injection: the parallel driver only runs untraced, where
-/// trace ids are unobservable.
-///
-/// # Safety
-/// Every method requires that the caller has exclusive access to the
-/// named node's buffers for the duration of the call and that the parent
-/// [`Fabric`] outlives this view (the driver guarantees both with its
-/// barrier protocol).
-#[derive(Debug, Clone, Copy)]
-pub struct FabricLanes {
-    inject: *mut Buffer,
-    recv: *mut Buffer,
-    deliver_stalls_by_node: *mut u64,
-    nodes: u32,
-    cfg: NetConfig,
-}
-
-// SAFETY: the raw pointers are only dereferenced under the parallel
-// driver's ownership discipline (disjoint nodes per worker, barriers
-// establishing happens-before between phases).
-unsafe impl Send for FabricLanes {}
-unsafe impl Sync for FabricLanes {}
-
-impl FabricLanes {
-    /// Mirror of [`Fabric::try_inject_traced`] on `src`'s inject lane
-    /// (untraced; counters go to `d`).
-    ///
-    /// # Safety
-    /// See [`FabricLanes`]. `now` must be the fabric cycle the serial
-    /// driver would inject at (the current global cycle).
-    pub unsafe fn try_inject(
-        &self,
-        src: u32,
-        dest: u32,
-        pri: Priority,
-        words: &[Word],
-        now: u64,
-        d: &mut LaneDeltas,
-    ) -> bool {
-        debug_assert!(src < self.nodes && dest < self.nodes);
-        let buf = unsafe { &mut *self.inject.add(src as usize) };
-        let len = words.len() as u32;
-        if !buf.can_accept(len, now) {
-            d.inject_stalls += 1;
-            return false;
-        }
-        buf.push(
-            Message {
-                src,
-                dest,
-                pri,
-                words: words.to_vec(),
-                hops: 0,
-                injected_at: now,
-                trace_id: 0,
-            },
-            now,
-            &self.cfg,
-        );
-        d.injected_msgs += 1;
-        d.injected_words += len as u64;
-        d.in_flight += 1;
-        d.touched.push(src);
-        true
-    }
-
-    /// Mirror of [`Fabric::ready_recv`] on `node`'s receive lane.
-    ///
-    /// # Safety
-    /// See [`FabricLanes`]. `now` must be the post-tick fabric cycle. The
-    /// returned borrow is invalidated by [`FabricLanes::pop_recv`].
-    pub unsafe fn ready_recv(&self, node: u32, now: u64) -> Option<&Message> {
-        unsafe { (*self.recv.add(node as usize)).ready_front(now) }
-    }
-
-    /// Mirror of [`Fabric::pop_recv_traced`] (untraced; counters to `d`).
-    ///
-    /// # Safety
-    /// See [`FabricLanes`]; additionally a prior
-    /// [`FabricLanes::ready_recv`] must have returned `Some` this cycle.
-    pub unsafe fn pop_recv(&self, node: u32, now: u64, d: &mut LaneDeltas) {
-        let msg = unsafe { (*self.recv.add(node as usize)).pop() };
-        d.delivered_msgs += 1;
-        d.delivered_words += msg.words.len() as u64;
-        d.latency_total += now - msg.injected_at;
-        d.in_flight -= 1;
-        d.touched.push(node);
-    }
-
-    /// Mirror of [`Fabric::note_deliver_stall_traced`] (untraced).
-    ///
-    /// # Safety
-    /// See [`FabricLanes`].
-    pub unsafe fn note_deliver_stall(&self, node: u32, d: &mut LaneDeltas) {
-        d.deliver_stalls += 1;
-        unsafe {
-            *self.deliver_stalls_by_node.add(node as usize) += 1;
-            (*self.recv.add(node as usize)).tel.stall_cycles += 1;
-        }
-    }
-}
-
-impl Fabric {
-    /// Raw per-node endpoint views for the parallel driver (see
-    /// [`FabricLanes`] for the ownership contract).
-    pub fn lanes(&mut self) -> FabricLanes {
-        FabricLanes {
-            inject: self.inject.as_mut_ptr(),
-            recv: self.recv.as_mut_ptr(),
-            deliver_stalls_by_node: self.deliver_stalls_by_node.as_mut_ptr(),
-            nodes: self.topo.nodes(),
-            cfg: self.cfg,
-        }
-    }
-
-    /// Fold one worker's [`LaneDeltas`] into the global counters and
-    /// re-sync the occupancy index at the nodes it touched. Sums commute,
-    /// so absorbing per-worker deltas in any fixed order yields the same
-    /// [`NetStats`] the serial drivers produce.
-    pub fn absorb(&mut self, d: &LaneDeltas) {
-        for &node in &d.touched {
-            self.sync_src(node);
-            self.sync_recv(node);
-        }
-        self.stats.injected_msgs += d.injected_msgs;
-        self.stats.injected_words += d.injected_words;
-        self.stats.delivered_msgs += d.delivered_msgs;
-        self.stats.delivered_words += d.delivered_words;
-        self.stats.latency_total += d.latency_total;
-        self.stats.inject_stalls += d.inject_stalls;
-        self.stats.deliver_stalls += d.deliver_stalls;
-        let in_flight = self.in_flight as i64 + d.in_flight;
-        debug_assert!(in_flight >= 0, "more deliveries than injections");
-        self.in_flight = in_flight as u64;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,12 +31,20 @@
 //! single-node address, and `MeshExperiment`'s cycle loop replays
 //! `Machine::run`'s step loop exactly. The integration tests and the fuzz
 //! harness (`tamsim fuzz --mesh`) both enforce this.
+//!
+//! ## One driver loop
+//!
+//! Every mesh run — batch, recorded, traced or serving — goes through one
+//! loop on one host thread (`MeshExperiment::run_serve_with` in
+//! [`driver`]). Its two modes, lockstep and the default event-horizon
+//! fast-forward, are bit-identical, and the lockstep mode is the oracle
+//! the differential tests hold the fast-forward to. Independent runs use
+//! the host's cores through `tamsim_trace::par_map`.
 
 pub mod driver;
 pub mod fabric;
 pub mod hooks;
 mod nodeset;
-pub mod par;
 pub mod place;
 pub mod port;
 pub mod serve;
@@ -45,8 +53,7 @@ pub mod topology;
 pub mod trace;
 
 pub use driver::{
-    ActivityTrack, MeshExperiment, MeshRecordedRun, MeshRunResult, NodeState, ThreadStats,
-    WATCHDOG_CYCLES,
+    ActivityTrack, MeshExperiment, MeshRecordedRun, MeshRunResult, NodeState, WATCHDOG_CYCLES,
 };
 pub use fabric::{Fabric, LinkStat, Message, NetConfig, NetStats};
 pub use hooks::{BufKind, NetHooks, NoNetHooks};

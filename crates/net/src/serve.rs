@@ -1,6 +1,6 @@
 //! Open-loop request serving on the mesh: a deterministic arrival
 //! process injects independent call-DAG requests at a target offered
-//! load, and the drivers track each request's inject → complete
+//! load, and the driver tracks each request's inject → complete
 //! lifecycle.
 //!
 //! ## The request model
@@ -22,9 +22,8 @@
 //! words are recorded against the request id carried in the parent word,
 //! the send reports [`tamsim_mdp::RouteOutcome::Injected`], and the done
 //! handler (whose `HALT` would stop the whole mesh) never dispatches.
-//! Interception happens identically in all three drivers, so completion
-//! records are bit-identical across lockstep, fast-forward, and any
-//! parallel thread count.
+//! Interception happens identically in lockstep and fast-forward, so
+//! completion records are bit-identical across the two.
 //!
 //! ## Arrivals
 //!
@@ -239,10 +238,8 @@ impl ServePlan {
     }
 }
 
-/// Per-request lifecycle cell, written in place by the drivers. Plain
-/// `Copy` data so the parallel driver's workers can write distinct
-/// requests' cells through raw pointers without aliasing references.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Per-request lifecycle cell, written in place by the driver.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReqCell {
     /// Cycle the boot message entered the origin machine's queue.
     pub injected: u64,
@@ -258,7 +255,7 @@ pub struct ReqCell {
 
 impl ReqCell {
     /// Record the done reply `[done, parent, vals...]` at cycle `now`.
-    pub(crate) fn complete(&mut self, now: u64, words: &[Word]) {
+    fn complete(&mut self, now: u64, words: &[Word]) {
         assert!(!self.done, "duplicate completion for a request");
         self.completed = now;
         let vals = words.get(2..).unwrap_or(&[]);
@@ -271,10 +268,10 @@ impl ReqCell {
     }
 }
 
-/// The serial drivers' interception view, rebuilt per step with the
-/// current cycle. [`crate::port::NodePort`] consults it before routing.
+/// The driver's interception view, rebuilt per step with the current
+/// cycle. [`crate::port::NodePort`] consults it before routing.
 /// Opaque outside the crate: ports are constructed with `serve: None`
-/// everywhere except the serve drivers.
+/// everywhere except in serve mode.
 pub struct ServeTap<'a> {
     done_addr: u64,
     cells: &'a mut [ReqCell],
@@ -290,43 +287,15 @@ impl ServeTap<'_> {
         if words.first().copied().map(Word::bits) != Some(self.done_addr) {
             return false;
         }
-        let id = reply_id(words);
+        // The request id rides in the local part of the parent word.
+        let parent = words.get(1).copied().map(Word::bits).unwrap_or(0);
+        let id = (parent as u32 & LOCAL_MASK) as usize;
         self.cells
             .get_mut(id)
             .expect("done reply names an unknown request")
             .complete(self.now, words);
         *self.completed += 1;
         true
-    }
-}
-
-/// The request id carried in a done reply's parent word.
-pub(crate) fn reply_id(words: &[Word]) -> usize {
-    let parent = words.get(1).copied().map(Word::bits).unwrap_or(0);
-    (parent as u32 & LOCAL_MASK) as usize
-}
-
-/// The parallel workers' interception view: raw pointers because
-/// distinct workers complete distinct requests concurrently (a request
-/// completes exactly once, so two workers never touch the same cell).
-#[derive(Clone, Copy)]
-pub(crate) struct ServeShared {
-    pub(crate) done_addr: u64,
-    cells: *mut ReqCell,
-    len: usize,
-}
-
-impl ServeShared {
-    /// Record a completion through the raw cell table.
-    ///
-    /// # Safety
-    /// Must only be called from the worker owning the sending node,
-    /// inside a round; the reply's request id must not be completed by
-    /// any other worker (guaranteed: each request completes once).
-    pub(crate) unsafe fn complete(&self, now: u64, words: &[Word]) {
-        let id = reply_id(words);
-        assert!(id < self.len, "done reply names an unknown request");
-        unsafe { (*self.cells.add(id)).complete(now, words) };
     }
 }
 
@@ -345,7 +314,7 @@ pub(crate) struct ServeState<'p> {
     held: usize,
     pub(crate) cells: Vec<ReqCell>,
     pub(crate) injected: u64,
-    pub(crate) completed: u64,
+    completed: u64,
 }
 
 impl<'p> ServeState<'p> {
@@ -385,17 +354,7 @@ impl<'p> ServeState<'p> {
         }
     }
 
-    /// The parallel workers' interception view.
-    pub(crate) fn shared(&mut self) -> ServeShared {
-        ServeShared {
-            done_addr: self.done_addr,
-            cells: self.cells.as_mut_ptr(),
-            len: self.cells.len(),
-        }
-    }
-
-    /// The arrival pump, run at the top of every global cycle in every
-    /// driver (inside the parallel driver's serial window): release due
+    /// The arrival pump, run at the top of every global cycle: release due
     /// arrivals into their origin FIFOs, then inject each node's queue
     /// head-first until its machine queue refuses — held requests stay
     /// in arrival order and retry next cycle. `wake` hears of every node
@@ -507,16 +466,11 @@ impl ServeRunResult {
 impl MeshExperiment {
     /// Serve `cfg.requests` invocations of `program` at the offered
     /// load, tracking each request's arrival → inject → complete
-    /// lifecycle. Runs untraced on the driver selected by the
-    /// experiment's `threads`/`fast_forward` settings; records are
-    /// bit-identical across all drivers and thread counts.
+    /// lifecycle. Runs untraced; records are bit-identical with and
+    /// without [`MeshExperiment::fast_forward`].
     pub fn serve(&self, program: &Program, cfg: &ServeConfig) -> ServeRunResult {
         let plan = ServePlan::build(cfg, self.nodes);
-        let (mesh, cells, _) = if self.threads > 1 && self.nodes > 1 {
-            self.run_parallel_serve(program, Some(&plan), false)
-        } else {
-            self.run_serve_with(program, &mut NoNetHooks, Some(&plan), false)
-        };
+        let (mesh, cells, _) = self.run_serve_with(program, &mut NoNetHooks, Some(&plan), false);
         let cells = cells.expect("serve run returns request cells");
         // Conservation: the run only quiesces drained, so every request
         // must have completed exactly once.

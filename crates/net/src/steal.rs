@@ -50,15 +50,11 @@
 //! ## Determinism
 //!
 //! Every steal decision reads only cycle-stamped machine state (memory,
-//! registers, queue contents) at a fixed serial point that all three
-//! drivers share, and scans are gated on "some machine is runnable" —
-//! during a fast-forward-skipped stretch every machine is idle, so the
-//! lockstep driver's per-cycle scans over that stretch are provably
-//! no-ops and the jump changes nothing. The parallel driver runs the
-//! scan in its serial window and folds worker-observed installs and
-//! free captures at the epoch barrier in node order, so the
-//! Pending→Active flips and reclamations happen in the same order at
-//! the same cycle at every thread count.
+//! registers, queue contents) at a fixed serial point that lockstep and
+//! fast-forward share, and scans are gated on "some machine is
+//! runnable" — during a fast-forward-skipped stretch every machine is
+//! idle, so the lockstep driver's per-cycle scans over that stretch are
+//! provably no-ops and the jump changes nothing.
 
 use std::collections::HashMap;
 
@@ -136,11 +132,10 @@ pub struct StealView<'a> {
 
 /// The work-stealing engine: scan + forwarding directory + counters.
 ///
-/// Owned by the driver; mutated only at serial points. During parallel
-/// rounds workers use the read-only lookups ([`StealEngine::resolve`],
+/// Owned by the driver; mutated only at serial points. Routing and
+/// delivery use the read-only lookups ([`StealEngine::resolve`],
 /// [`StealEngine::forward_of`], [`StealEngine::frees_new`]) and record
-/// installs/free-captures into per-worker vectors that the main thread
-/// folds back in node order.
+/// installs and free captures for the next [`StealEngine::settle`].
 #[derive(Debug)]
 pub struct StealEngine {
     topo: MeshTopology,
@@ -363,10 +358,10 @@ impl StealEngine {
     /// One serial-phase steal pass over the whole mesh.
     ///
     /// Runs at a fixed point of the global cycle (after the arrival
-    /// pump, before the execute phase) in all three drivers. Decisions
-    /// read only machine state as of this cycle; every mutation —
-    /// victim unlink, target allocator, census, directory — happens
-    /// here, serially, in node order.
+    /// pump, before the execute phase) in lockstep and fast-forward
+    /// alike. Decisions read only machine state as of this cycle; every
+    /// mutation — victim unlink, target allocator, census, directory —
+    /// happens here, in node order.
     pub fn scan<H: NetHooks>(
         &mut self,
         machines: &mut [Machine<'_>],

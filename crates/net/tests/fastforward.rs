@@ -120,6 +120,28 @@ fn fib_fast_forward_is_bit_identical_on_wide_meshes() {
     }
 }
 
+/// Past 16 nodes the pre-widening node tag would have overflowed into the
+/// sign bit; a 40-node run exercises `falloc`/`ffree` round-trips through
+/// tags 17..39 under both static placement policies, and the live-frame
+/// census must cover every node.
+#[test]
+fn forty_node_falloc_ffree_round_trip() {
+    let program = programs::fib(13);
+    for policy in [PlacementPolicy::RoundRobin, PlacementPolicy::LocalityAware] {
+        let exp = MeshExperiment::new(Implementation::Md, 40).with_placement(policy);
+        let lock = exp.lockstep().run(&program);
+        let fast = exp.run(&program);
+        let ctx = format!("fib(13) on 40 nodes ({policy:?})");
+        assert_bit_identical(&lock, &fast, &ctx);
+        // Frames were genuinely spread past node 16 and freed again.
+        assert!(fast.net.delivered_msgs > 0, "no cross-node traffic: {ctx}");
+        assert!(
+            fast.live_frames.len() == 40,
+            "census must cover all 40 nodes: {ctx}"
+        );
+    }
+}
+
 #[test]
 fn quicksort_fast_forward_is_bit_identical() {
     assert_differential(

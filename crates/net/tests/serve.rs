@@ -1,7 +1,7 @@
 //! The serve-mode gate: open-loop request serving must produce
-//! byte-identical completion records across lockstep, fast-forward, and
-//! the parallel driver at every thread count, for every back-end and
-//! placement policy — plus conservation under saturation (every injected
+//! byte-identical completion records across lockstep and fast-forward,
+//! for every back-end and placement policy — plus conservation under
+//! saturation (every injected
 //! request completes before the run quiesces) and end-to-end result
 //! correctness (each request's reply carries exactly the batch answer).
 
@@ -20,9 +20,8 @@ const IMPLS: [Implementation; 3] = [
 
 const POLICIES: [PlacementPolicy; 3] = PlacementPolicy::ALL;
 
-/// Every request-visible and mesh-visible observable except
-/// `thread_stats` (worker attribution is a function of the thread count)
-/// and `net_trace` (serve runs are untraced).
+/// Every request-visible and mesh-visible observable except `net_trace`
+/// (serve runs are untraced).
 fn assert_serve_identical(a: &ServeRunResult, b: &ServeRunResult, ctx: &str) {
     assert_eq!(a.records, b.records, "completion records differ: {ctx}");
     assert_eq!(a.cfg, b.cfg, "scenario differs: {ctx}");
@@ -96,11 +95,11 @@ fn assert_serve_sane(r: &ServeRunResult, program: &Program, ctx: &str) {
     assert!(r.achieved_ppm() > 0, "zero throughput: {ctx}");
 }
 
-/// The tentpole wall: seed × drivers × thread counts × policies ×
-/// back-ends — byte-identical completion records everywhere, correct
-/// answers everywhere.
+/// The tentpole wall: seed × driver modes × policies × back-ends —
+/// byte-identical completion records everywhere, correct answers
+/// everywhere.
 #[test]
-fn serve_wall_is_bit_identical_across_drivers_policies_and_threads() {
+fn serve_wall_is_bit_identical_across_drivers_and_policies() {
     let program = programs::fib(8);
     let cfg = ServeConfig::new(20_000, 24, 0xA11CE);
     for impl_ in IMPLS {
@@ -110,10 +109,6 @@ fn serve_wall_is_bit_identical_across_drivers_policies_and_threads() {
             let fast = exp.serve(&program, &cfg);
             let ctx = format!("fib(8) under {impl_:?} ({policy:?})");
             assert_serve_identical(&lock, &fast, &format!("{ctx}, fast-forward vs lockstep"));
-            for t in [2, 4] {
-                let par = exp.with_threads(t).serve(&program, &cfg);
-                assert_serve_identical(&lock, &par, &format!("{ctx}, {t} threads vs lockstep"));
-            }
             assert_serve_sane(&lock, &program, &ctx);
         }
     }
@@ -144,9 +139,7 @@ fn fixed_rate_serving_is_bit_identical_and_evenly_spaced() {
     let exp = MeshExperiment::new(Implementation::Am, 4);
     let lock = exp.lockstep().serve(&program, &cfg);
     let fast = exp.serve(&program, &cfg);
-    let par = exp.with_threads(4).serve(&program, &cfg);
     assert_serve_identical(&lock, &fast, "fixed-rate, fast-forward vs lockstep");
-    assert_serve_identical(&lock, &par, "fixed-rate, 4 threads vs lockstep");
     for rec in &lock.records {
         assert_eq!(rec.arrival, rec.id as u64 * 200, "5000 ppm = every 200");
     }
@@ -190,9 +183,7 @@ fn saturation_holds_arrivals_and_conserves_requests() {
     exp.queue_words = [256, 256];
     let lock = exp.lockstep().serve(&program, &cfg);
     let fast = exp.serve(&program, &cfg);
-    let par = exp.with_threads(4).serve(&program, &cfg);
     assert_serve_identical(&lock, &fast, "saturated, fast-forward vs lockstep");
-    assert_serve_identical(&lock, &par, "saturated, 4 threads vs lockstep");
     assert_serve_sane(&lock, &program, "saturated");
     // A lone request on the same mesh measures the unloaded service
     // time; under saturation every request's latency must sit far above
@@ -222,9 +213,7 @@ fn undersized_serve_runs_recover_by_queue_doubling() {
     exp.queue_words = [48, 48];
     let lock = exp.lockstep().serve(&program, &cfg);
     let fast = exp.serve(&program, &cfg);
-    let par = exp.with_threads(4).serve(&program, &cfg);
     assert_serve_identical(&lock, &fast, "queue-recovery, fast-forward vs lockstep");
-    assert_serve_identical(&lock, &par, "queue-recovery, 4 threads vs lockstep");
     assert_serve_sane(&lock, &program, "queue-recovery");
     assert!(
         lock.mesh.queue_words.iter().any(|&w| w > 48),

@@ -38,8 +38,7 @@ pub use hotspot::{HotspotReport, HotspotRow, RegionHotspots};
 pub use manifest::{git_revision, Manifest};
 pub use net_trace::{
     mesh_profile_json, mesh_trace_json_traced, MeshCounterSample, MeshFlow, MeshLatencyRow,
-    MeshLinkRow, MeshNetSummary, MeshNetTrace, MeshParallelSummary, MeshProfileMeta,
-    MeshServeSummary, MeshThreadRow,
+    MeshLinkRow, MeshNetSummary, MeshNetTrace, MeshProfileMeta, MeshServeSummary,
 };
 pub use symbols::SymbolTable;
 use tamsim_trace::MemoryMap;

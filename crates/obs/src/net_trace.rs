@@ -282,32 +282,6 @@ pub struct MeshNetSummary {
     pub unmatched_dispatches: u64,
 }
 
-/// One worker thread's share of a parallel mesh run.
-#[derive(Debug, Clone, Copy)]
-pub struct MeshThreadRow {
-    /// First node of the worker's contiguous chunk.
-    pub first_node: u32,
-    /// Number of nodes in the chunk.
-    pub nodes: u32,
-    /// Instructions executed by the chunk's nodes.
-    pub steps: u64,
-    /// Messages retired by the chunk's nodes.
-    pub deliveries: u64,
-}
-
-/// Per-thread utilization of a parallel mesh run, for the profile's
-/// `parallel` object. Deterministic for a given (program, nodes, thread
-/// count) — but a function of the thread count, so the CI determinism
-/// job drops the object before byte-comparing profiles across thread
-/// counts.
-#[derive(Debug, Clone)]
-pub struct MeshParallelSummary {
-    /// Worker threads the run was configured with.
-    pub threads: u32,
-    /// One row per worker, in node order.
-    pub workers: Vec<MeshThreadRow>,
-}
-
 /// The serve-mode block of the mesh profile (`serve` object): offered
 /// vs achieved load, the client-observed latency distribution with its
 /// tail percentiles, and entry-queue waiting.
@@ -367,14 +341,13 @@ pub struct MeshProfileMeta {
 }
 
 /// Render the mesh statistics profile (`profile.json` of a mesh run):
-/// run identity, per-thread utilization when the run was parallel, the
-/// `serve` object when the run served an open-loop workload, plus a
+/// run identity, the `serve` object when the run served an open-loop
+/// workload, plus a
 /// `net` object with fabric counters, per-node deliver stalls,
 /// per-buffer telemetry, and latency histograms.
 pub fn mesh_profile_json(
     meta: &MeshProfileMeta,
     net: &MeshNetSummary,
-    parallel: Option<&MeshParallelSummary>,
     serve: Option<&MeshServeSummary>,
 ) -> String {
     let mut out = String::with_capacity(8 * 1024 + net.links.len() * 220);
@@ -391,25 +364,6 @@ pub fn mesh_profile_json(
         meta.cycles,
         meta.instructions
     );
-
-    if let Some(p) = parallel {
-        let _ = write!(
-            out,
-            "\"parallel\":{{\"threads\":{},\"workers\":[",
-            p.threads
-        );
-        for (i, w) in p.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"first_node\":{},\"nodes\":{},\"steps\":{},\"deliveries\":{}}}",
-                w.first_node, w.nodes, w.steps, w.deliveries
-            );
-        }
-        out.push_str("]},");
-    }
 
     if let Some(s) = serve {
         let _ = write!(
@@ -626,14 +580,13 @@ mod tests {
             dropped: 0,
             unmatched_dispatches: 0,
         };
-        let profile = mesh_profile_json(&meta, &net, None, None);
+        let profile = mesh_profile_json(&meta, &net, None);
         json::validate(&profile).expect("mesh profile must parse");
         assert!(profile.contains("\"schema\":\"tamsim-mesh-profile/1\""));
         assert!(profile.contains("\"deliver_stalls_by_node\":[0,2,0,0]"));
         assert!(profile.contains("\"link\":\"west\""));
         assert!(profile.contains("\"kind\":\"deliver\""));
         assert!(profile.contains("{\"lo\":4,\"hi\":7,\"msgs\":5}"));
-        assert!(!profile.contains("\"parallel\""));
         assert!(!profile.contains("\"serve\""));
 
         let serve = MeshServeSummary {
@@ -654,7 +607,7 @@ mod tests {
             steals: 7,
             buckets: vec![(128, 255, 40), (256, 511, 24)],
         };
-        let profile = mesh_profile_json(&meta, &net, None, Some(&serve));
+        let profile = mesh_profile_json(&meta, &net, Some(&serve));
         json::validate(&profile).expect("serve mesh profile must parse");
         assert!(profile.contains(
             "\"serve\":{\"kind\":\"poisson\",\"origins\":\"corner\",\"seed\":42,\
@@ -664,27 +617,5 @@ mod tests {
         ));
         assert!(profile.contains("{\"lo\":128,\"hi\":255,\"reqs\":40}"));
         assert!(profile.contains("\"queue_wait_max\":12,\"steals\":7"));
-
-        let parallel = MeshParallelSummary {
-            threads: 2,
-            workers: vec![
-                MeshThreadRow {
-                    first_node: 0,
-                    nodes: 2,
-                    steps: 200,
-                    deliveries: 5,
-                },
-                MeshThreadRow {
-                    first_node: 2,
-                    nodes: 2,
-                    steps: 121,
-                    deliveries: 4,
-                },
-            ],
-        };
-        let profile = mesh_profile_json(&meta, &net, Some(&parallel), None);
-        json::validate(&profile).expect("parallel mesh profile must parse");
-        assert!(profile.contains("\"parallel\":{\"threads\":2,\"workers\":["));
-        assert!(profile.contains("{\"first_node\":2,\"nodes\":2,\"steps\":121,\"deliveries\":4}"));
     }
 }

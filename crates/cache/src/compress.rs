@@ -1,5 +1,6 @@
-//! Trace stripping and stack scoring: a chain of direct-mapped filters
-//! over a recorded trace, read once per level, scores a whole sweep.
+//! Stack scoring over stripped traces: a chain of direct-mapped filters,
+//! from a recorded first level and read once per level, scores a whole
+//! sweep.
 //!
 //! A reference that hits in a direct-mapped cache with `S` sets hits the
 //! most-recently-used line of every LRU cache with at least `S` sets, of
@@ -16,10 +17,14 @@
 //! dirtying it earlier changes no writeback.
 //!
 //! A sweep is stripped once per block size, with one level per set count
-//! in the sweep. The first level is the raw log minus its hits in a
-//! direct-mapped cache with that many sets (with one set, that folds runs
-//! of same-block references); each later level `S` is the level before
-//! it minus its hits in a direct-mapped cache with `S` sets. Since every
+//! in the sweep. The first level is the raw stream minus its hits in a
+//! direct-mapped cache with the fewest sets the sweep uses at that block
+//! size (with one set, that folds runs of same-block references); a
+//! [`StrippedLog`] records it online, while the machine runs, so the raw
+//! stream is never stored. (A recording made for a sweep with fewer sets
+//! at that block size serves too: its level comes first, with no
+//! geometries of its own.) Each later level `S` is the level before it
+//! minus its hits in a direct-mapped cache with `S` sets. Since every
 //! level's set count is at least the last one's, each level is exact for
 //! its own geometries. I and D are independent caches, so each level
 //! keeps the two streams apart. A level's build pass *is* the
@@ -36,75 +41,16 @@
 //! one dirty bit per associativity scored. When a miss in the `k`-way
 //! cache pushes the entry at depth `k - 1` out of that cache, a set bit
 //! counts one `k`-way writeback and is cleared, so a block that comes
-//! back is clean there until written again. A level is dropped as soon
-//! as its pass ends, so a stream never holds more than two levels, and
-//! scoring a geometry afterwards is a lookup. Access totals come from the
-//! raw log, once. Scores are bit-for-bit those of streaming the raw
-//! events.
+//! back is clean there until written again. The recorded level is read
+//! in place; each level built from it is dropped as soon as the pass that
+//! reads it ends, so a stream never holds more than two levels beside the
+//! recording, and scoring a geometry afterwards is a lookup. Access
+//! totals come from the recording. Scores are bit-for-bit those of
+//! streaming the raw events.
 
+use crate::stripped::{Filter, StrippedLog, D_FIRST_WRITE, D_WRITES, NO_BLOCK};
 use crate::{CacheGeometry, CacheStats, CacheSummary};
-use tamsim_trace::{par_map, TraceLog};
-
-/// Reference flag: the reference's first access is a write (a miss is a
-/// write miss and allocates dirty).
-const D_FIRST_WRITE: u32 = 1;
-/// Reference flag: a later access folded or stripped into this reference
-/// is a write, so the block must be dirtied after the probe.
-const D_LATER_WRITE: u32 = 2;
-/// Either write flag: the reference dirties its block.
-const D_WRITES: u32 = D_FIRST_WRITE | D_LATER_WRITE;
-/// Marks an empty line (blocks are `addr >> shift` with `shift >= 2`, so
-/// a real block never reaches it).
-const NO_BLOCK: u32 = u32::MAX;
-
-/// One direct-mapped cache simulated over a reference stream, keeping the
-/// references that miss. A reference is one `u32`, `block << 2 | flags`.
-struct Filter {
-    /// Per set: the resident block, and `at << 1 | dirty`, where `at` is
-    /// the index in `kept` of the reference that allocated the line. A
-    /// write that hits a clean line dirties it and folds its flag into
-    /// that reference.
-    lines: Vec<(u32, u32)>,
-    /// The references that missed, in order.
-    kept: Vec<u32>,
-    /// The cache's misses and writebacks (the access totals stay zero).
-    misses: CacheStats,
-}
-
-impl Filter {
-    fn new(sets: u32) -> Filter {
-        Filter {
-            lines: vec![(NO_BLOCK, 0); sets as usize],
-            kept: Vec::new(),
-            misses: CacheStats::default(),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, word: u32) {
-        let block = word >> 2;
-        let mask = self.lines.len() - 1;
-        let (resident, at) = &mut self.lines[block as usize & mask];
-        let writes = u32::from(word & D_WRITES != 0);
-        if *resident == block {
-            if writes > *at & 1 {
-                self.kept[(*at >> 1) as usize] |= D_LATER_WRITE;
-                *at |= 1;
-            }
-            return;
-        }
-        self.misses.writebacks += u64::from(*at & 1);
-        if word & D_FIRST_WRITE != 0 {
-            self.misses.write_misses += 1;
-        } else {
-            self.misses.read_misses += 1;
-        }
-        *resident = block;
-        *at = u32::try_from(self.kept.len() << 1).expect("a level holds under 2^31 references")
-            | writes;
-        self.kept.push(word);
-    }
-}
+use tamsim_trace::par_map;
 
 /// Per-set LRU stacks at one set count: every associativity the sweep
 /// asks for there, scored in one pass over a level.
@@ -228,7 +174,16 @@ struct Plan {
 }
 
 impl Plan {
-    fn new(block_bytes: u32, sweep: &[CacheGeometry]) -> Plan {
+    /// The sweep's levels at `block_bytes`, read from a first level
+    /// recorded with `recorded` sets. When the sweep's fewest sets there
+    /// are more than that, the recorded level comes first as a level with
+    /// no geometries of its own.
+    ///
+    /// # Panics
+    /// Panics, naming the geometry, if the sweep has one at `block_bytes`
+    /// with fewer sets than `recorded`: the recording dropped references
+    /// that geometry can miss.
+    fn new(block_bytes: u32, sweep: &[CacheGeometry], recorded: u32) -> Plan {
         let mut wanted: Vec<(u32, u32)> = sweep
             .iter()
             .filter(|g| g.block_bytes == block_bytes)
@@ -236,7 +191,16 @@ impl Plan {
             .collect();
         wanted.sort_unstable();
         wanted.dedup();
-        let mut levels: Vec<(u32, Vec<u32>)> = Vec::new();
+        if let Some(g) = sweep
+            .iter()
+            .find(|g| g.block_bytes == block_bytes && g.n_sets() < recorded)
+        {
+            panic!(
+                "a recording stripped at {recorded} sets cannot replay {}",
+                g.label()
+            );
+        }
+        let mut levels: Vec<(u32, Vec<u32>)> = vec![(recorded, Vec::new())];
         for (sets, assoc) in wanted {
             match levels.last_mut() {
                 Some((at, assocs)) if *at == sets => assocs.push(assoc),
@@ -249,85 +213,47 @@ impl Plan {
         }
     }
 
-    /// The first level of both streams, stripped from the raw log in one
-    /// read of it, and the log's fetch, read and write totals.
-    ///
-    /// A fetch or read of the block its stream touched last is counted
-    /// but not filtered: that block is resident, so the reference is a
-    /// hit that changes no flag. Writes always go through the filter,
-    /// which carries their flag back.
-    fn strip(&self, log: &TraceLog) -> ([u64; 3], [Filter; 2]) {
-        let sets = self.levels.first().map_or(1, |(sets, _)| *sets);
-        let shift = self.block_bytes.trailing_zeros();
-        let [mut i, mut d] = [Filter::new(sets), Filter::new(sets)];
-        let [mut fetches, mut reads, mut writes] = [0u64; 3];
-        let [mut last_i, mut last_d] = [NO_BLOCK; 2];
-        for chunk in log.packed_chunks() {
-            for &word in chunk {
-                // `addr | kind`, and `shift >= 2` drops the kind.
-                let block = word >> shift;
-                match word & 3 {
-                    0 => {
-                        fetches += 1;
-                        if block != last_i {
-                            last_i = block;
-                            i.push(block << 2);
-                        }
-                    }
-                    1 => {
-                        reads += 1;
-                        if block != last_d {
-                            last_d = block;
-                            d.push(block << 2);
-                        }
-                    }
-                    _ => {
-                        writes += 1;
-                        last_d = block;
-                        d.push(block << 2 | D_FIRST_WRITE);
-                    }
-                }
-            }
-        }
-        ([fetches, reads, writes], [i, d])
-    }
-
     /// One stream's misses and writebacks for every (set count,
-    /// associativity) of the plan, in plan order, from its first level:
-    /// one pass per level.
-    fn walk(&self, first: Filter) -> Vec<CacheStats> {
+    /// associativity) of the plan, in plan order, from its recorded first
+    /// level: one pass per level, the first read in place.
+    fn walk(&self, first: &Filter) -> Vec<CacheStats> {
         let mut scores = Vec::new();
-        let mut level = Some(first);
-        for n in 0..self.levels.len() {
-            level = self.pass(n, level.expect("a level per set count"), &mut scores);
+        let mut next = self.pass(0, first, &mut scores);
+        for n in 1..self.levels.len() {
+            let level = next.expect("a level per set count");
+            next = self.pass(n, &level, &mut scores);
         }
         scores
     }
 
     /// Read level `n` once: strip it into level `n + 1`, if the plan has
-    /// one, and append the scores of level `n`'s geometries. Level `n` is
-    /// dropped when its pass returns.
-    fn pass(&self, n: usize, level: Filter, scores: &mut Vec<CacheStats>) -> Option<Filter> {
+    /// one, and append the scores of level `n`'s geometries. A level the
+    /// walk built is dropped when the pass after it returns.
+    fn pass(&self, n: usize, level: &Filter, scores: &mut Vec<CacheStats>) -> Option<Filter> {
         let (sets, assocs) = &self.levels[n];
         let mut next = self.levels.get(n + 1).map(|(sets, _)| Filter::new(*sets));
-        let stacked = assocs.strip_prefix(&[1]).unwrap_or(assocs);
-        if stacked.is_empty() {
-            if let Some(next) = &mut next {
-                level.kept.iter().for_each(|&word| next.push(word));
+        let stacks = match assocs.strip_prefix(&[1]).unwrap_or(assocs) {
+            [] => {
+                if let Some(next) = &mut next {
+                    level.kept.iter().for_each(|&word| next.push(word));
+                }
+                None
             }
-            scores.push(level.misses);
-        } else {
-            let mut stacks = Stacks::new(*sets, stacked);
-            stacks.feed(&level.kept, next.as_mut());
-            scores.extend(assocs.iter().map(|&k| match k {
-                1 => level.misses,
-                _ => stacks.stats(k),
-            }));
-        }
+            stacked => {
+                let mut stacks = Stacks::new(*sets, stacked);
+                stacks.feed(&level.kept, next.as_mut());
+                Some(stacks)
+            }
+        };
+        scores.extend(assocs.iter().map(|&k| match &stacks {
+            Some(stacks) if k > 1 => stacks.stats(k),
+            _ => level.misses,
+        }));
         next
     }
 
-    /// The chain's scores, from the log's totals and both streams' walks.
+    /// The chain's scores, from the recording's totals and both streams'
+    /// walks.
     fn chain(&self, totals: [u64; 3], [i, d]: [Vec<CacheStats>; 2]) -> FilterChain {
         let geometries = self
             .levels
@@ -344,11 +270,11 @@ impl Plan {
     }
 }
 
-/// A recorded trace scored at one block size, for every geometry a sweep
-/// asks for there.
+/// A recording scored at one block size, for every geometry a sweep asks
+/// for there.
 struct FilterChain {
     block_bytes: u32,
-    /// Fetches, data reads and data writes in the log.
+    /// Fetches, data reads and data writes recorded.
     totals: [u64; 3],
     /// Set count, associativity, and I and D misses and writebacks of each
     /// geometry.
@@ -356,28 +282,12 @@ struct FilterChain {
 }
 
 impl FilterChain {
-    /// Strip and score `log` at `block_bytes` for the geometries of
-    /// `sweep` that use that block size, on the calling thread.
-    #[cfg(test)]
-    fn build(log: &TraceLog, block_bytes: u32, sweep: &[CacheGeometry]) -> FilterChain {
-        let plan = Plan::new(block_bytes, sweep);
-        let (totals, [i, d]) = plan.strip(log);
-        plan.chain(totals, [plan.walk(i), plan.walk(d)])
-    }
-
-    /// The counters streaming the raw log through `geometry` would give.
+    /// The counters streaming the raw events through `geometry` would
+    /// give.
     ///
     /// # Panics
-    /// Panics if `geometry` uses another block size or is not one the
-    /// chain was built for.
+    /// Panics if the chain was not built for `geometry`.
     fn score(&self, geometry: CacheGeometry) -> CacheSummary {
-        assert_eq!(
-            geometry.block_bytes,
-            self.block_bytes,
-            "chain stripped at {} B cannot replay {}",
-            self.block_bytes,
-            geometry.label()
-        );
         let [i, d] = self
             .scores
             .iter()
@@ -395,37 +305,47 @@ impl FilterChain {
     }
 }
 
-/// Score every geometry against `log`, in `geometries` order.
+/// Score every geometry against `log`, in `geometries` order: one walk
+/// per block size and stream, from the recorded first level, fanned out
+/// through [`par_map`].
 ///
-/// Work goes through [`par_map`] in two rounds: one raw-log strip per
-/// block size, then one walk per block size and stream.
+/// # Panics
+/// Panics, naming the geometry, if `log` does not cover one of
+/// `geometries`: its block size was not recorded, or it has fewer sets
+/// than the level recorded at that block size.
 pub(crate) fn replay(
     geometries: &[CacheGeometry],
-    log: &TraceLog,
+    log: &StrippedLog,
 ) -> Vec<(CacheGeometry, CacheSummary)> {
     let mut block_sizes: Vec<u32> = geometries.iter().map(|g| g.block_bytes).collect();
     block_sizes.sort_unstable();
     block_sizes.dedup();
-    let plans: Vec<Plan> = block_sizes
+    let plans: Vec<(Plan, [&Filter; 2])> = block_sizes
         .into_iter()
-        .map(|b| Plan::new(b, geometries))
+        .map(|b| {
+            let Some(strip) = log.strip(b) else {
+                let g = geometries.iter().find(|g| g.block_bytes == b);
+                panic!(
+                    "the recording keeps no {b} B blocks: cannot replay {}",
+                    g.expect("a geometry per block size").label()
+                );
+            };
+            (
+                Plan::new(b, geometries, strip.i.sets()),
+                [&strip.i, &strip.d],
+            )
+        })
         .collect();
-    let (totals, firsts): (Vec<[u64; 3]>, Vec<[Filter; 2]>) =
-        par_map(plans.iter().collect(), |plan: &Plan| plan.strip(log))
-            .into_iter()
-            .unzip();
-    let streams: Vec<(&Plan, Filter)> = plans
+    let streams: Vec<(&Plan, &Filter)> = plans
         .iter()
-        .zip(firsts)
         .flat_map(|(plan, firsts)| firsts.map(|first| (plan, first)))
         .collect();
     let mut walks = par_map(streams, |(plan, first)| plan.walk(first)).into_iter();
     let chains: Vec<FilterChain> = plans
         .iter()
-        .zip(totals)
-        .map(|(plan, totals)| {
+        .map(|(plan, _)| {
             let streams = [(); 2].map(|_| walks.next().expect("a walk per stream"));
-            plan.chain(totals, streams)
+            plan.chain(log.totals, streams)
         })
         .collect();
     geometries
@@ -444,7 +364,7 @@ pub(crate) fn replay(
 mod tests {
     use super::*;
     use crate::CacheSystem;
-    use tamsim_trace::{Access, Hooks};
+    use tamsim_trace::{Access, Hooks, TraceLog};
 
     /// A stream exercising every run shape: sequential fetch runs,
     /// read-then-write runs, write-first runs, conflicts, and evictions
@@ -467,6 +387,18 @@ mod tests {
         log
     }
 
+    fn stripped(log: &TraceLog, sweep: &[CacheGeometry]) -> StrippedLog {
+        let mut stripped = StrippedLog::for_sweep(sweep);
+        stripped.feed(log);
+        stripped
+    }
+
+    fn raw(geometry: CacheGeometry, log: &TraceLog) -> CacheSummary {
+        let mut raw = CacheSystem::symmetric(geometry);
+        raw.replay(log);
+        raw.summary()
+    }
+
     #[test]
     fn folded_replay_matches_raw_replay() {
         let log = exercise_log();
@@ -477,10 +409,8 @@ mod tests {
             CacheGeometry::new(1024, 2, 64),
             CacheGeometry::new(1024, 1, 64),
         ] {
-            let mut raw = CacheSystem::symmetric(geometry);
-            raw.replay(&log);
-            let chain = FilterChain::build(&log, geometry.block_bytes, &[geometry]);
-            assert_eq!(chain.score(geometry), raw.summary(), "{geometry:?}");
+            let replayed = replay(&[geometry], &stripped(&log, &[geometry]));
+            assert_eq!(replayed, [(geometry, raw(geometry, &log))], "{geometry:?}");
         }
     }
 
@@ -491,10 +421,13 @@ mod tests {
             log.access(Access::fetch(i * 4));
         }
         // 160 sequential fetches over 64-byte blocks = 10 runs of 16.
-        let plan = Plan::new(64, &[CacheGeometry::new(128, 2, 64)]);
-        let (totals, [i, _]) = plan.strip(&log);
-        assert_eq!(totals, [160, 0, 0]);
-        assert_eq!(i.kept.len(), 10);
+        let recorded = stripped(&log, &[CacheGeometry::new(128, 2, 64)]);
+        assert_eq!(recorded.totals, [160, 0, 0]);
+        assert_eq!(
+            recorded.strip(64).expect("a 64-byte level").i.kept.len(),
+            10
+        );
+        assert_eq!(recorded.packed_bytes(), 40);
     }
 
     #[test]
@@ -507,41 +440,51 @@ mod tests {
             CacheGeometry::new(2048, 4, 8),
             CacheGeometry::new(1024, 2, 16),
         ];
-        let plan = Plan::new(8, &sweep);
+        let plan = Plan::new(8, &sweep, 8);
         assert_eq!(
             plan.levels,
             [(8, vec![1]), (64, vec![2, 4]), (256, vec![1])]
         );
-        // Each pass consumes the level it reads and hands on the next
-        // one, never more references than the level before, so a stream
-        // holds at most two levels at once.
-        let (_, [_, d]) = plan.strip(&log);
+        // Each pass reads the level before it and hands on the next one,
+        // never more references than the level before, so a stream holds
+        // at most two levels at once; the recorded level is read in place.
+        let recorded = stripped(&log, &sweep);
+        let d = &recorded.strip(8).expect("an 8-byte level").d;
         let mut scores = Vec::new();
-        let mut level = d;
-        let mut sizes = vec![level.kept.len()];
-        for n in 0..plan.levels.len() - 1 {
-            level = plan.pass(n, level, &mut scores).expect("a next level");
-            assert_eq!(level.lines.len() as u32, plan.levels[n + 1].0);
+        let mut level = plan.pass(0, d, &mut scores).expect("a next level");
+        let mut sizes = vec![d.kept.len(), level.kept.len()];
+        for n in 1..plan.levels.len() - 1 {
+            level = plan.pass(n, &level, &mut scores).expect("a next level");
+            assert_eq!(level.sets(), plan.levels[n + 1].0);
             sizes.push(level.kept.len());
         }
         assert!(plan
-            .pass(plan.levels.len() - 1, level, &mut scores)
+            .pass(plan.levels.len() - 1, &level, &mut scores)
             .is_none());
         assert!(sizes.windows(2).all(|w| w[1] <= w[0]), "{sizes:?}");
         assert_eq!(scores.len(), 4);
         // The chain keeps only the scores, and they are the raw ones.
-        let chain = FilterChain::build(&log, 8, &sweep);
-        for g in sweep.into_iter().filter(|g| g.block_bytes == 8) {
-            let mut raw = CacheSystem::symmetric(g);
-            raw.replay(&log);
-            assert_eq!(chain.score(g), raw.summary(), "{}", g.label());
+        for (g, summary) in replay(&sweep, &recorded) {
+            assert_eq!(summary, raw(g, &log), "{}", g.label());
         }
     }
 
     #[test]
-    #[should_panic(expected = "cannot replay")]
+    fn a_level_recorded_below_the_sweep_has_no_geometries_of_its_own() {
+        let log = exercise_log();
+        let recorded = stripped(&log, &[CacheGeometry::new(32, 1, 8)]);
+        let sweep = [CacheGeometry::new(256, 2, 8), CacheGeometry::new(512, 1, 8)];
+        let plan = Plan::new(8, &sweep, 4);
+        assert_eq!(plan.levels, [(4, vec![]), (16, vec![2]), (64, vec![1])]);
+        for (g, summary) in replay(&sweep, &recorded) {
+            assert_eq!(summary, raw(g, &log), "{}", g.label());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no 64 B blocks: cannot replay 1K/2way/64B")]
     fn block_size_mismatch_panics() {
-        let chain = FilterChain::build(&TraceLog::new(), 8, &[]);
-        chain.score(CacheGeometry::new(1024, 2, 64));
+        let recorded = StrippedLog::for_sweep(&[CacheGeometry::new(64, 1, 8)]);
+        replay(&[CacheGeometry::new(1024, 2, 64)], &recorded);
     }
 }

@@ -2,7 +2,7 @@
 //! the cycle model.
 
 use crate::compress;
-use crate::{Cache, CacheGeometry, CacheStats};
+use crate::{Cache, CacheGeometry, CacheStats, Recording};
 use tamsim_trace::{Access, AccessKind, Hooks, TraceLog};
 
 /// A split I/D cache pair, as in the paper ("in all cases, we specified
@@ -202,26 +202,34 @@ impl CacheBank {
             .map(|(_, s)| s.summary())
     }
 
-    /// Score every geometry against a recorded log, in parallel.
+    /// Score every geometry against a recording, in parallel.
     ///
-    /// The log is stripped once per distinct block size by a chain of
+    /// `log` is a [`StrippedLog`] or a raw [`TraceLog`], which is first
+    /// fed through a `StrippedLog` built for `geometries`. Per block
+    /// size, the recording holds the first level of a chain of
     /// direct-mapped filters (see the `compress` module): level `S` keeps
     /// only the references that can change an LRU cache with `S` sets.
     /// Building the chain simulates every direct-mapped geometry of the
     /// sweep, and the pass that reads level `S` to strip the next level
     /// also runs one LRU stack per set of `S`, which scores every
-    /// set-associative geometry with `S` sets at once. The raw-log strips
-    /// (one per block size, reading the log once for both streams) and
-    /// then the level chains (one per block size and stream) fan out
-    /// through [`tamsim_trace::par_map`].
+    /// set-associative geometry with `S` sets at once. The chains (one per
+    /// block size and stream, each reading its recorded level in place)
+    /// fan out through [`tamsim_trace::par_map`].
     ///
     /// Results are in `geometries` order and bit-identical to streaming
     /// the same events through a [`CacheBank`].
+    ///
+    /// [`StrippedLog`]: crate::StrippedLog
+    ///
+    /// # Panics
+    /// Panics, naming the geometry, if a `StrippedLog` does not cover
+    /// one of `geometries`: that block size was not recorded, or the
+    /// geometry has fewer sets than the level recorded at its block size.
     pub fn replay_parallel(
         geometries: &[CacheGeometry],
-        log: &TraceLog,
+        log: &impl Recording,
     ) -> Vec<(CacheGeometry, CacheSummary)> {
-        compress::replay(geometries, log)
+        compress::replay(geometries, &log.stripped(geometries))
     }
 
     /// Score every geometry against several recorded logs — one *private*
@@ -264,6 +272,7 @@ impl Hooks for CacheBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StrippedLog;
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(64, 2, 8)
@@ -355,6 +364,32 @@ mod tests {
         }
         let parallel = CacheBank::replay_parallel(&geoms, &log);
         assert_eq!(parallel, bank.summaries());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot replay 1K/1way/16B")]
+    fn replay_parallel_names_a_geometry_at_an_unrecorded_block_size() {
+        let log = StrippedLog::for_sweep(&[CacheGeometry::new(1024, 1, 64)]);
+        CacheBank::replay_parallel(
+            &[
+                CacheGeometry::new(1024, 1, 64),
+                CacheGeometry::new(1024, 1, 16),
+            ],
+            &log,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stripped at 32 sets cannot replay 1K/8way/32B")]
+    fn replay_parallel_names_a_geometry_below_the_recorded_sets() {
+        let log = StrippedLog::for_sweep(&[CacheGeometry::new(2048, 2, 32)]);
+        CacheBank::replay_parallel(
+            &[
+                CacheGeometry::new(4096, 4, 32),
+                CacheGeometry::new(1024, 8, 32),
+            ],
+            &log,
+        );
     }
 
     #[test]

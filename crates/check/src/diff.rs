@@ -27,7 +27,9 @@
 //! * replaying the AM run's recorded trace through
 //!   [`CacheBank::replay_parallel`] is bit-identical to streaming the same
 //!   trace through an inline [`CacheBank`] (the record/replay engine that
-//!   produces every figure cross-checked on a trace nobody hand-picked);
+//!   produces every figure cross-checked on a trace nobody hand-picked),
+//!   and so is replaying the [`StrippedLog`] recorded beside it, which
+//!   strips the run online the way `Experiment::run_recorded` does;
 //! * every back-end re-runs under the executor and the
 //!   [`crate::RefMachine`] oracle with full-stream recording, and the two
 //!   must agree on results, counters, every access event in order, every
@@ -51,7 +53,7 @@
 
 use crate::invariant::InvariantChecker;
 use crate::reference::RefMachine;
-use tamsim_cache::{CacheBank, CacheGeometry};
+use tamsim_cache::{CacheBank, CacheGeometry, StrippedLog};
 use tamsim_core::{link, FrameLayout, GlobalsMap, Implementation, LoweringOptions};
 use tamsim_mdp::{HaltReason, Machine, MachineConfig, Memory, RunError, RunStats};
 use tamsim_net::{MeshExperiment, MeshRunResult, NetTraceMode, PlacementPolicy};
@@ -61,12 +63,14 @@ use tamsim_trace::{Access, AccessCounts, CountingSink, Hooks, MarkLog, Priority,
 use crate::gen::GenConfig;
 
 /// Optional per-run recorders, so one `Tee` shape serves every
-/// combination: the trace log is armed for the recorded (AM) run only,
-/// the access counters only when the mesh cross-check needs a reference.
-/// Both keep accesses only.
+/// combination: the trace log and the stripped log are armed for the
+/// recorded (AM) run only, the access counters only when the mesh
+/// cross-check needs a reference. All keep accesses only, and each takes
+/// the executor's straight-line batches through its own bulk path.
 struct Recorders {
     counts: Option<CountingSink>,
     log: Option<TraceLog>,
+    stripped: Option<StrippedLog>,
 }
 
 impl Hooks for Recorders {
@@ -77,6 +81,22 @@ impl Hooks for Recorders {
         }
         if let Some(log) = &mut self.log {
             log.access(access);
+        }
+        if let Some(stripped) = &mut self.stripped {
+            stripped.access(access);
+        }
+    }
+
+    #[inline]
+    fn fetch_run(&mut self, pri: Priority, start_pc: u32, n: u32) {
+        if let Some(counts) = &mut self.counts {
+            counts.fetch_run(pri, start_pc, n);
+        }
+        if let Some(log) = &mut self.log {
+            log.fetch_run(pri, start_pc, n);
+        }
+        if let Some(stripped) = &mut self.stripped {
+            stripped.fetch_run(pri, start_pc, n);
         }
     }
 }
@@ -202,6 +222,9 @@ pub enum FailureKind {
     ResultDivergence,
     /// Parallel trace replay disagrees with inline cache simulation.
     CacheMismatch,
+    /// Replaying the run's online-stripped recording disagrees with inline
+    /// cache simulation.
+    StrippedMismatch,
     /// A 1×1 mesh run is not bit-identical to the single-node run.
     MeshDivergence,
     /// The executor is not bit-identical to the [`crate::RefMachine`]
@@ -227,6 +250,7 @@ impl FailureKind {
             FailureKind::LeakedFrames => "leaked-frames",
             FailureKind::ResultDivergence => "result-divergence",
             FailureKind::CacheMismatch => "cache-mismatch",
+            FailureKind::StrippedMismatch => "stripped-mismatch",
             FailureKind::MeshDivergence => "mesh-divergence",
             FailureKind::DispatchDivergence => "dispatch-divergence",
             FailureKind::MachineTrap => "machine-trap",
@@ -275,6 +299,7 @@ pub struct CheckPass {
 pub fn check_program(program: &Program, cfg: &CheckConfig) -> Result<CheckPass, CheckFailure> {
     let mut per_impl = Vec::with_capacity(IMPLS.len());
     let mut am_log: Option<TraceLog> = None;
+    let mut am_stripped: Option<StrippedLog> = None;
     for (impl_, label) in IMPLS {
         let mutated;
         let subject = match (impl_, cfg.mutation) {
@@ -291,10 +316,11 @@ pub fn check_program(program: &Program, cfg: &CheckConfig) -> Result<CheckPass, 
         // replay-vs-inline cross-check, and the others would just burn
         // memory.
         let record = impl_ == Implementation::Am && !cfg.geometries.is_empty();
-        let (report, log) = run_one(subject, impl_, label, cfg, record)?;
+        let (report, logs) = run_one(subject, impl_, label, cfg, record)?;
         per_impl.push(report);
-        if let Some(log) = log {
+        if let Some((log, stripped)) = logs {
             am_log = Some(log);
+            am_stripped = Some(stripped);
         }
     }
 
@@ -345,6 +371,26 @@ pub fn check_program(program: &Program, cfg: &CheckConfig) -> Result<CheckPass, 
         }
     }
 
+    // The recording stripped online, beside the raw log, must score
+    // exactly what streaming the raw events inline does.
+    if let (Some(log), Some(stripped)) = (&am_log, &am_stripped) {
+        let replayed = CacheBank::replay_parallel(&cfg.geometries, stripped);
+        let mut bank = CacheBank::symmetric(cfg.geometries.iter().copied());
+        for access in log {
+            bank.access(access);
+        }
+        let inline = bank.summaries();
+        if let Some(((g, a), (_, b))) = replayed.iter().zip(&inline).find(|(a, b)| a != b) {
+            return Err(CheckFailure {
+                kind: FailureKind::StrippedMismatch,
+                detail: format!(
+                    "replay of the online-stripped recording diverges from inline \
+                     simulation: {g:?}: replay {a:?} vs inline {b:?}"
+                ),
+            });
+        }
+    }
+
     Ok(CheckPass {
         per_impl,
         trace_events,
@@ -390,7 +436,7 @@ fn run_one(
     label: &'static str,
     cfg: &CheckConfig,
     record: bool,
-) -> Result<(ImplReport, Option<TraceLog>), CheckFailure> {
+) -> Result<(ImplReport, Option<(TraceLog, StrippedLog)>), CheckFailure> {
     let mut queue_words = cfg.queue_words;
     loop {
         let mcfg = MachineConfig {
@@ -410,6 +456,7 @@ fn run_one(
                 // reference to compare access counts against.
                 counts: cfg.mesh.then(|| CountingSink::new(mcfg.map)),
                 log: record.then(TraceLog::new),
+                stripped: record.then(|| StrippedLog::for_sweep(&cfg.geometries)),
             },
         );
         let run = match catch_trap(|| linked.run(&mut hooks)) {
@@ -470,7 +517,8 @@ fn run_one(
                     )?;
                 }
                 dispatch_cross_check(program, impl_, label, queue_words, cfg.fuel)?;
-                return Ok((report, hooks.b.log.take()));
+                let logs = hooks.b.log.take().zip(hooks.b.stripped.take());
+                return Ok((report, logs));
             }
         }
     }

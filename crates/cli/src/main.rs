@@ -751,14 +751,15 @@ fn host_cpu() -> String {
 
 /// Touch a few large, short-lived buffers before timing anything. Freeing
 /// mmap'd blocks teaches glibc to raise its dynamic mmap threshold, so the
-/// trace-log chunks allocated by the timed phases come from the main arena
-/// and their pages stay resident across phases. Without this, whichever
-/// phase happens to allocate big first pays ~100 MB of one-shot page
-/// faults and the phase comparison skews by hundreds of milliseconds.
+/// recordings allocated by the timed phases (stripped logs for `perf`, the
+/// mesh's raw per-node trace logs for `perf --mesh`) come from the main
+/// arena and their pages stay resident across phases. Without this,
+/// whichever phase happens to allocate big first pays its one-shot page
+/// faults and the phase comparison skews.
 fn warm_allocator() {
     // Raise glibc's dynamic mmap threshold: each free of an mmap'd block
-    // bumps the threshold to that block's size, so later trace-log chunks
-    // come from the arena instead of fresh mmaps.
+    // bumps the threshold to that block's size, so later large recording
+    // buffers come from the arena instead of fresh mmaps.
     for shift in [22usize, 23, 24, 25] {
         let mut v = vec![0u8; 1 << shift];
         for i in (0..v.len()).step_by(4096) {
@@ -766,7 +767,7 @@ fn warm_allocator() {
         }
         std::hint::black_box(&mut v);
     }
-    // Grow the arena to the sweep's live footprint (the recorded traces are
+    // Grow the arena past the sweeps' live footprint (the recordings are
     // held in memory between the record and replay phases) and fault every
     // page in, so the heap the timed phases run on is already resident.
     let mut arena: Vec<Vec<u8>> = Vec::new();
@@ -844,8 +845,8 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path) {
 /// `tamsim perf --mesh`: benchmark the mesh drivers — the cycle-by-cycle
 /// lockstep loop against the event-horizon fast-forward — on the suite's
 /// recorded mesh cache sweep, check the two drivers render byte-identical
-/// mesh-cache CSVs, and leave `DIR/mesh_perf_summary.json` beside
-/// `perf_summary.json`.
+/// mesh-cache CSVs, write that table as `DIR/mesh_perf_cache.{csv,txt}`,
+/// and leave `DIR/mesh_perf_summary.json` beside `perf_summary.json`.
 fn run_mesh_perf(suite: &[PaperBenchmark], small: bool, nodes: u32, dir: &Path) {
     let progs: Vec<(&str, &Program)> = suite.iter().map(|b| (b.name, &b.program)).collect();
     let node_counts = [nodes];
@@ -884,9 +885,12 @@ fn run_mesh_perf(suite: &[PaperBenchmark], small: bool, nodes: u32, dir: &Path) 
         lock_perf.events, fast_perf.events,
         "fast-forward recorded a different number of access events"
     );
+    // Not `mesh_cache`: that name is `tamsim all`'s fib/MMT/QS sweep on
+    // 1 and 4 nodes, and this table (the suite on `--nodes`) must not
+    // overwrite it in a shared output directory.
     emit(
         dir,
-        "mesh_cache",
+        "mesh_perf_cache",
         "Mesh cache sweep: per-node private caches, MD/AM ratio at miss 24",
         &metrics::mesh_cache_table(&fast_runs),
     );

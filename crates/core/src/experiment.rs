@@ -6,13 +6,14 @@ use crate::layout::{FrameLayout, GlobalsMap, RESULT_WORDS};
 use crate::lower::{lower_program, make_labels, LowerCtx, Lowered};
 use crate::opts::{Implementation, LoweringOptions};
 use crate::sys::gen_sys;
+use tamsim_cache::{paper_sweep, StrippedLog};
 use tamsim_mdp::{
     CodeImage, DecodedImage, Hooks, Machine, MachineConfig, Mark, Memory, Priority, RunError,
     RunStats, Word,
 };
 use tamsim_obs::{ObsError, Profile, ProfileHooks, ProfileMeta, RawProfile, SymbolTable};
 use tamsim_tam::{Program, TOp, Value};
-use tamsim_trace::{Access, AccessCounts, CountingSink, MemoryMap, NoHooks, TraceLog};
+use tamsim_trace::{Access, AccessCounts, CountingSink, MemoryMap, NoHooks};
 
 /// A program lowered and linked for one implementation: code image, boot
 /// message, and memory seed.
@@ -503,8 +504,11 @@ impl Experiment {
         self.attempts(program, sink, |_| {}).0
     }
 
-    /// Run `program` once, recording its access trace into a [`TraceLog`]
-    /// for later (parallel) replay.
+    /// Run `program` once, recording its access trace for later
+    /// (parallel) replay into the paper's sweep: a [`StrippedLog`] built
+    /// for [`paper_sweep`], which keeps only the references its first
+    /// filter level misses. Another sweep records through
+    /// [`Experiment::run_with_sink`] into a `StrippedLog` built for it.
     ///
     /// Recording shares [`Experiment::run_with_sink`]'s attempt loop: when
     /// the initial queues fit — the common case — the machine runs exactly
@@ -523,7 +527,7 @@ impl Experiment {
         program: &Program,
         on_machine_run: impl FnMut(u32),
     ) -> RecordedRun {
-        let mut log = TraceLog::new();
+        let mut log = StrippedLog::for_sweep(&paper_sweep());
         let (run, _) = self.attempts(program, &mut log, on_machine_run);
         RecordedRun { run, log }
     }
@@ -658,8 +662,8 @@ impl ProfiledRun {
 
 /// A completed run together with the access trace it recorded.
 ///
-/// Produced by [`Experiment::run_recorded`]; the log replays into any
-/// number of cache configurations via
+/// Produced by [`Experiment::run_recorded`]; the log replays into every
+/// geometry of [`paper_sweep`] via
 /// `tamsim_cache::CacheBank::replay_parallel`. Only accesses are
 /// recorded: the granularity statistics were computed live, into
 /// `run.granularity`, and no mark is kept.
@@ -667,7 +671,7 @@ impl ProfiledRun {
 pub struct RecordedRun {
     /// Everything [`Experiment::run`] would have measured.
     pub run: RunResult,
-    /// The recorded access stream (queue-bypassed accesses excluded, as
-    /// for any sink).
-    pub log: TraceLog,
+    /// The recorded access stream, stripped to the sweep's first filter
+    /// level (queue-bypassed accesses excluded, as for any sink).
+    pub log: StrippedLog,
 }

@@ -15,10 +15,13 @@
 //! Every entry point — [`Experiment::run`], [`Experiment::run_with_sink`],
 //! [`Experiment::run_recorded`] and [`Experiment::run_profiled`] — shares
 //! one attempt loop that simulates the machine once when the queues fit.
-//! [`Experiment::run_recorded`] captures the access trace during that run;
-//! `tamsim_cache::CacheBank::replay_parallel` then scores every cache
-//! configuration from the recording. [`Experiment::run_with_sink`] feeds
-//! any other observer (a live [`tamsim_cache::CacheBank`], say) instead.
+//! [`Experiment::run_recorded`] captures the access trace during that run,
+//! already stripped to the first filter level of the paper's sweep (a
+//! [`tamsim_cache::StrippedLog`]); `tamsim_cache::CacheBank::replay_parallel`
+//! then scores every configuration of that sweep from the recording.
+//! [`Experiment::run_with_sink`] feeds any other observer instead: a
+//! `StrippedLog` built for another sweep, or a live
+//! [`tamsim_cache::CacheBank`], say.
 
 pub mod asm;
 pub mod experiment;

@@ -1,12 +1,12 @@
 //! Collecting the measurement dataset: one recorded machine run per
-//! (program, implementation), replayed into every cache configuration in
-//! parallel.
+//! (program, implementation), stripped as it runs to the sweep's first
+//! filter level and replayed into every cache configuration in parallel.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use tamsim_cache::{CacheBank, CacheGeometry, CacheSummary, CycleModel};
-use tamsim_core::{Experiment, Implementation, RecordedRun, RunResult};
+use tamsim_cache::{CacheBank, CacheGeometry, CacheSummary, CycleModel, StrippedLog};
+use tamsim_core::{Experiment, Implementation, RunResult};
 use tamsim_programs::PaperBenchmark;
 
 /// One traced run of one program under one implementation.
@@ -74,10 +74,10 @@ pub struct SuiteData {
 
 impl SuiteData {
     /// Run every program of `suite` under each of `experiments` once,
-    /// recording each trace, then replay the recordings into the cache
-    /// sweep over `geometries`. Machine runs execute in parallel (they are
-    /// independent single-threaded simulations); each replay then shards
-    /// the geometry sweep across all cores.
+    /// recording each trace into a [`StrippedLog`] built for `geometries`,
+    /// then replay the recordings into that sweep. Machine runs execute in
+    /// parallel (they are independent single-threaded simulations); each
+    /// replay then shards the geometry sweep across all cores.
     ///
     /// Each experiment's `implementation` names its runs in the dataset
     /// ([`SuiteData::get`]), so a variant — other lowering options, the
@@ -116,31 +116,34 @@ impl SuiteData {
         // Phase 1: machine simulations, one recorded run per task, fanned
         // out with `par_map` (at most one worker per core: each simulation
         // carries a multi-megabyte working set — machine memory plus the
-        // growing trace log — and oversubscribing cores context-switches
-        // those working sets through the host caches).
+        // growing recording — and oversubscribing cores context-switches
+        // those working sets through the host caches). Each run records
+        // only the first filter level of `geometries`' block sizes.
         let t0 = Instant::now();
-        let recorded: Vec<(String, RecordedRun)> =
-            tamsim_trace::par_map(tasks, move |(name, program, experiment)| {
-                (name, experiment.run_recorded(&program))
+        let sweep = &geometries;
+        let recorded: Vec<(String, RunResult, StrippedLog)> =
+            tamsim_trace::par_map(tasks, |(name, program, experiment)| {
+                let mut log = StrippedLog::for_sweep(sweep);
+                let run = experiment.run_with_sink(&program, &mut log);
+                (name, run, log)
             });
         let machine_seconds = t0.elapsed().as_secs_f64();
 
         // Phase 2: replay every recording into the full sweep. Each call
-        // already fans out through the pool (one raw-log strip per block
-        // size, then one level chain per block size and stream), so runs
-        // go one at a time; their logs are dropped as soon as they are
-        // scored.
+        // already fans out through the pool (one level chain per block
+        // size and stream), so runs go one at a time; their recordings are
+        // dropped as soon as they are scored.
         let t1 = Instant::now();
         let mut events = 0u64;
         let runs: Vec<ProgramRun> = recorded
             .into_iter()
-            .map(|(name, rec)| {
-                events += rec.log.len() as u64;
-                let caches = CacheBank::replay_parallel(&geometries, &rec.log);
+            .map(|(name, run, log)| {
+                events += log.len() as u64;
+                let caches = CacheBank::replay_parallel(&geometries, &log);
                 ProgramRun {
                     name,
-                    implementation: rec.run.implementation,
-                    run: rec.run,
+                    implementation: run.implementation,
+                    run,
                     caches,
                 }
             })

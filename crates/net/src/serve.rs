@@ -313,7 +313,6 @@ pub(crate) struct ServeState<'p> {
     /// Requests held in `pending`, over all nodes.
     held: usize,
     pub(crate) cells: Vec<ReqCell>,
-    pub(crate) injected: u64,
     completed: u64,
 }
 
@@ -327,7 +326,6 @@ impl<'p> ServeState<'p> {
             pending: vec![VecDeque::new(); nodes],
             held: 0,
             cells: vec![ReqCell::default(); plan.arrivals.len()],
-            injected: 0,
             completed: 0,
         }
     }
@@ -392,7 +390,6 @@ impl<'p> ServeState<'p> {
                 self.held -= 1;
                 wake(n as u32);
                 self.cells[id as usize].injected = cycle;
-                self.injected += 1;
                 // The boot's falloc never crosses the NI, so the census
                 // is committed here — the batch boot's `commit(0)`
                 // analogue, on the origin node.

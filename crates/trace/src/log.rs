@@ -1,11 +1,15 @@
-//! A compact, append-only access log for record-once / replay-many sweeps.
+//! A compact, append-only log of a run's raw access stream.
 //!
-//! The machine simulation is far more expensive than a cache probe, so the
-//! experiment driver records the access stream once into a [`TraceLog`] and
-//! replays it into every cache configuration afterwards (in parallel — the
-//! configurations share nothing). Events are packed into one 32-bit word
-//! each: the machine model only issues word-aligned accesses, so the low
-//! two address bits are free to carry the [`AccessKind`].
+//! The machine simulation is far more expensive than a cache probe, so a
+//! run's access stream is recorded once and replayed into every cache
+//! configuration afterwards. A [`TraceLog`] keeps every event: the
+//! executor-vs-oracle checks compare two logs event by event, the cache
+//! replay's differential tests stream one through a reference cache, and
+//! a mesh run records one per node. (The single-node Figure 3 sweep
+//! records a stripped log instead; see `tamsim_cache::StrippedLog`.)
+//! Events are packed into one 32-bit word each: the machine model only
+//! issues word-aligned accesses, so the low two address bits are free to
+//! carry the [`AccessKind`].
 //!
 //! The packed word is `addr | kind`, where `kind` is
 //! [`AccessKind::index`]: 0 for a fetch, 1 for a read, 2 for a write.

@@ -174,12 +174,6 @@ impl Cache {
         };
         false
     }
-
-    /// Reset contents and counters (reuse between runs).
-    pub fn reset(&mut self) {
-        self.lines.fill(Line::default());
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -244,15 +238,6 @@ mod tests {
         assert!(!c.access(8, false)); // set 1
         assert!(c.access(0, false));
         assert!(c.access(8, false));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = tiny();
-        c.access(0, true);
-        c.reset();
-        assert_eq!(c.stats, CacheStats::default());
-        assert!(!c.access(0, false), "contents cleared");
     }
 
     #[test]

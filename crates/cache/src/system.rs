@@ -25,14 +25,6 @@ impl CacheSystem {
         }
     }
 
-    /// Build a system with distinct I/D geometries.
-    pub fn split(i: CacheGeometry, d: CacheGeometry) -> Self {
-        CacheSystem {
-            icache: Cache::new(i),
-            dcache: Cache::new(d),
-        }
-    }
-
     /// Summarize both caches.
     pub fn summary(&self) -> CacheSummary {
         CacheSummary {
@@ -41,17 +33,14 @@ impl CacheSystem {
         }
     }
 
-    /// Reset both caches.
-    pub fn reset(&mut self) {
-        self.icache.reset();
-        self.dcache.reset();
-    }
-
-    /// Replay a recorded access stream into this system.
+    /// Replay a raw recorded access stream into this system, event by
+    /// event.
     ///
     /// Identical to feeding the same events through [`Hooks::access`]
-    /// one at a time, but with the routing match inlined over a dense
-    /// packed log — the hot loop of the record/replay sweep.
+    /// one at a time. This is the unstripped oracle that the
+    /// record/replay sweep ([`CacheBank::replay_parallel`]) is checked
+    /// against: its callers are `tests/replay_wall.rs` and the
+    /// `compress` module's tests.
     pub fn replay(&mut self, log: &TraceLog) {
         for access in log {
             match access.kind {

@@ -715,23 +715,31 @@ fn mesh_driver_cross_check(
         exp.queue_words = [cfg.queue_words, cfg.queue_words];
         exp
     };
-    let trap_fail = |nodes: u32, policy: PlacementPolicy, what: String| CheckFailure {
+    let fail = |nodes: u32, policy: PlacementPolicy, what: String| CheckFailure {
         kind: FailureKind::MeshDivergence,
         detail: format!("{label}: {what} ({nodes} nodes, {})", policy.label()),
+    };
+    // Bit-identity in every observable but the network trace.
+    let identical = |nodes, policy, lock: &MeshRunResult, fast: &MeshRunResult| {
+        lock.first_difference(fast).map_or(Ok(()), |what| {
+            Err(fail(
+                nodes,
+                policy,
+                format!("lockstep vs fast-forward differ in {what}"),
+            ))
+        })
     };
     for policy in PlacementPolicy::ALL {
         let nodes = CROSS_CHECK_NODES;
         let exp = experiment(nodes, policy);
         let lock = catch_trap(|| exp.lockstep().run(program))
-            .map_err(|trap| trap_fail(nodes, policy, format!("lockstep run trapped: {trap}")))?;
+            .map_err(|trap| fail(nodes, policy, format!("lockstep run trapped: {trap}")))?;
         // The fast leg runs with network tracing on (bounded ring) while
         // the lockstep leg stays untraced, so every fuzz iteration also
         // proves instrumentation is invisible to the run itself.
-        let fast =
-            catch_trap(|| exp.traced(NetTraceMode::Ring(256)).run(program)).map_err(|trap| {
-                trap_fail(nodes, policy, format!("fast-forward run trapped: {trap}"))
-            })?;
-        mesh_runs_identical(label, "fast-forward", nodes, policy, &lock, &fast)?;
+        let fast = catch_trap(|| exp.traced(NetTraceMode::Ring(256)).run(program))
+            .map_err(|trap| fail(nodes, policy, format!("fast-forward run trapped: {trap}")))?;
+        identical(nodes, policy, &lock, &fast)?;
     }
     // The wide leg runs the untraced fast-forward loop, the
     // monomorphization the small leg's traced run does not cover.
@@ -739,105 +747,10 @@ fn mesh_driver_cross_check(
         let nodes = WIDE_CROSS_CHECK_NODES;
         let exp = experiment(nodes, policy);
         let lock = catch_trap(|| exp.lockstep().run(program))
-            .map_err(|trap| trap_fail(nodes, policy, format!("lockstep run trapped: {trap}")))?;
-        let fast = catch_trap(|| exp.run(program)).map_err(|trap| {
-            trap_fail(nodes, policy, format!("fast-forward run trapped: {trap}"))
-        })?;
-        mesh_runs_identical(label, "fast-forward", nodes, policy, &lock, &fast)?;
-    }
-    Ok(())
-}
-
-/// Require bit-identity between a lockstep mesh run and a fast-forward
-/// run of the same configuration, in every observable.
-fn mesh_runs_identical(
-    label: &str,
-    leg: &str,
-    nodes: u32,
-    policy: PlacementPolicy,
-    lock: &MeshRunResult,
-    got: &MeshRunResult,
-) -> Result<(), CheckFailure> {
-    let fail = |what: String| CheckFailure {
-        kind: FailureKind::MeshDivergence,
-        detail: format!(
-            "{label}: {what} (lockstep vs {leg}, {nodes} nodes, {})",
-            policy.label()
-        ),
-    };
-
-    // Every observable, in roughly the order a divergence would be
-    // easiest to diagnose from.
-    if got.cycles != lock.cycles {
-        return Err(fail(format!(
-            "cycle count diverges: lockstep {}, {leg} {}",
-            lock.cycles, got.cycles
-        )));
-    }
-    if got.halt != lock.halt {
-        return Err(fail(format!(
-            "halt reason diverges: lockstep {:?}, {leg} {:?}",
-            lock.halt, got.halt
-        )));
-    }
-    if got.result != lock.result {
-        return Err(fail("result words diverge".into()));
-    }
-    if got.arrays != lock.arrays {
-        return Err(fail("final array state diverges".into()));
-    }
-    if got.stats != lock.stats {
-        return Err(fail("per-node machine counters diverge".into()));
-    }
-    if got.counts != lock.counts {
-        return Err(fail("per-node access counts diverge".into()));
-    }
-    if got.stall_cycles != lock.stall_cycles {
-        return Err(fail(format!(
-            "NI stall cycles diverge: lockstep {:?}, {leg} {:?}",
-            lock.stall_cycles, got.stall_cycles
-        )));
-    }
-    if got.net != lock.net {
-        return Err(fail(format!(
-            "fabric statistics diverge: lockstep {:?}, {leg} {:?}",
-            lock.net, got.net
-        )));
-    }
-    if got.deliver_stalls != lock.deliver_stalls {
-        return Err(fail(format!(
-            "per-node deliver stalls diverge: lockstep {:?}, {leg} {:?}",
-            lock.deliver_stalls, got.deliver_stalls
-        )));
-    }
-    if got.link_stats != lock.link_stats {
-        return Err(fail("per-link telemetry diverges".into()));
-    }
-    if got.queue_words != lock.queue_words {
-        return Err(fail(format!(
-            "queue auto-sizing diverges: lockstep {:?}, {leg} {:?}",
-            lock.queue_words, got.queue_words
-        )));
-    }
-    if got.live_frames != lock.live_frames {
-        return Err(fail("live-frame census diverges".into()));
-    }
-    if got.steals != lock.steals {
-        return Err(fail(format!(
-            "steal counts diverge: lockstep {:?}, {leg} {:?}",
-            lock.steals, got.steals
-        )));
-    }
-    if got.watchdog_trips != lock.watchdog_trips || got.backstop_rearms != lock.backstop_rearms {
-        return Err(fail(format!(
-            "watchdog/backstop counters diverge: lockstep {}/{}, {leg} {}/{}",
-            lock.watchdog_trips, lock.backstop_rearms, got.watchdog_trips, got.backstop_rearms
-        )));
-    }
-    for (n, (g, l)) in got.activity.iter().zip(&lock.activity).enumerate() {
-        if g.spans != l.spans {
-            return Err(fail(format!("activity timeline diverges on node {n}")));
-        }
+            .map_err(|trap| fail(nodes, policy, format!("lockstep run trapped: {trap}")))?;
+        let fast = catch_trap(|| exp.run(program))
+            .map_err(|trap| fail(nodes, policy, format!("fast-forward run trapped: {trap}")))?;
+        identical(nodes, policy, &lock, &fast)?;
     }
     Ok(())
 }

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use tamsim_cache::{paper_sweep, CacheGeometry, PAPER_BLOCK_SWEEP};
+use tamsim_cache::{paper_sweep, table2_geometry, CacheGeometry, PAPER_BLOCK_SWEEP};
 use tamsim_core::{Experiment, Implementation};
 use tamsim_metrics as metrics;
 use tamsim_metrics::{SuiteData, Table};
@@ -532,13 +532,7 @@ fn run_mesh(args: &Args) {
         // buffer-occupancy counters.
         fs::write(
             dir.join("mesh_trace.json"),
-            tamsim_obs::mesh_trace_json_traced(
-                &program.name,
-                impl_.label(),
-                r.cycles,
-                &metrics::node_tracks(&r),
-                &metrics::net_trace_view(&r),
-            ),
+            metrics::mesh_trace_json(&r, &program.name),
         )
         .expect("write mesh_trace.json");
         fs::write(
@@ -1108,6 +1102,9 @@ fn main() {
 
     let cmd = command.as_str();
     let all = cmd == "all";
+    // Enabled AM and peephole-free MD at Table 2's geometry: Figure 2's
+    // enabled column and two of the ablations, collected once.
+    let variants = all.then(|| metrics::ablation_variants(&suite));
 
     if all || cmd == "table1" {
         let text = metrics::table1();
@@ -1128,11 +1125,24 @@ fn main() {
         write_out(&dir, "figure1", &text, None);
     }
     if all || cmd == "figure2" {
+        let table = match (&data, &variants) {
+            (Some(data), Some(variants)) => metrics::figure2(data, variants),
+            // Alone, the command collects AM and enabled AM at Table 2's
+            // geometry.
+            _ => {
+                let own = SuiteData::collect(
+                    suite.clone(),
+                    &[Implementation::Am, Implementation::AmEnabled].map(Experiment::new),
+                    vec![table2_geometry()],
+                );
+                metrics::figure2(&own, &own)
+            }
+        };
         emit(
             &dir,
             "figure2",
             "Figure 2 / §2.4: unenabled vs enabled AM",
-            &metrics::figure2(&suite),
+            &table,
         );
     }
     if all || cmd == "figure3" {
@@ -1261,13 +1271,14 @@ fn main() {
         );
     }
     if all {
-        // Table 2 under each design-choice ablation: two more collections
-        // at its one geometry (tests/golden/ablations.csv).
+        // Table 2 under each design-choice ablation: the variant runs plus
+        // one more collection at its one geometry
+        // (tests/golden/ablations.csv).
         emit(
             &dir,
             "ablations",
             "Ablations: Table 2's MD/AM ratios under each design choice (8K 4-way, 64B blocks)",
-            &metrics::ablations(&suite, data.as_ref().unwrap()),
+            &metrics::ablations(&suite, data.as_ref().unwrap(), variants.as_ref().unwrap()),
         );
         // Mesh node-count sweep: fib plus two paper benchmarks across
         // 1/2/4/8 nodes. Deterministic, so the CSV is golden-gated

@@ -2,9 +2,9 @@
 //! Figure 2 / §2.4's enabled-vs-unenabled AM comparison.
 
 use crate::render::{r1, Table};
+use crate::suite::SuiteData;
 use tamsim_core::{Experiment, Implementation};
 use tamsim_mdp::{Hooks, Mark, Priority};
-use tamsim_programs::PaperBenchmark;
 use tamsim_tam::ids::regs::*;
 use tamsim_tam::ops::*;
 use tamsim_tam::{CodeblockBuilder, Program, ProgramBuilder, Value};
@@ -165,7 +165,10 @@ pub fn figure1() -> String {
 /// On a uniprocessor the enabled implementation services local
 /// I-structure fetches inside the quantum, "resulting in greater quantum
 /// size".
-pub fn figure2(suite: &[PaperBenchmark]) -> Table {
+///
+/// Reads each program of `am` (in its suite order) from `am`'s AM runs and
+/// `enabled`'s enabled-AM runs; one dataset may hold both.
+pub fn figure2(am: &SuiteData, enabled: &SuiteData) -> Table {
     let mut t = Table::new(&[
         "Program",
         "TPQ AM",
@@ -175,11 +178,11 @@ pub fn figure2(suite: &[PaperBenchmark]) -> Table {
         "instr AM",
         "instr AM-en",
     ]);
-    for bench in suite {
-        let am = Experiment::new(Implementation::Am).run(&bench.program);
-        let en = Experiment::new(Implementation::AmEnabled).run(&bench.program);
+    for name in am.name_refs() {
+        let am = &am.get(name, Implementation::Am).run;
+        let en = &enabled.get(name, Implementation::AmEnabled).run;
         t.row(vec![
-            bench.name.to_string(),
+            name.to_string(),
             r1(am.granularity.tpq()),
             r1(en.granularity.tpq()),
             format!("{:.0}", am.granularity.ipq()),
@@ -240,7 +243,12 @@ mod tests {
             name: "MMT",
             program: tamsim_programs::mmt(10),
         }];
-        let t = figure2(&suite).to_csv();
+        let data = SuiteData::collect(
+            suite,
+            &[Implementation::Am, Implementation::AmEnabled].map(Experiment::new),
+            vec![tamsim_cache::table2_geometry()],
+        );
+        let t = figure2(&data, &data).to_csv();
         let row: Vec<&str> = t.lines().nth(1).unwrap().split(',').collect();
         let tpq_am: f64 = row[1].parse().unwrap();
         let tpq_en: f64 = row[2].parse().unwrap();

@@ -26,14 +26,11 @@ pub use mesh::{
     mesh_node_table, mesh_run, mesh_scaling, mesh_sweep, MeshCachePerf, MeshCacheRun,
     MESH_CACHE_NODE_SWEEP, MESH_NODE_SWEEP, MESH_SCALING_SWEEP,
 };
-pub use net::{
-    mesh_latency_table, mesh_links_table, mesh_profile, net_summary, net_trace_view, node_tracks,
-};
+pub use net::{mesh_latency_table, mesh_links_table, mesh_profile, mesh_trace_json, serve_profile};
 pub use quantum::{hotspot_table, quantum_histogram, quantum_summary};
 pub use render::Table;
 pub use serve::{
-    arrival_kind_label, percentile, serve_depth_table, serve_latency_table, serve_profile,
-    serve_requests_table, serve_summary,
+    arrival_kind_label, percentile, serve_depth_table, serve_latency_table, serve_requests_table,
 };
 pub use suite::{geomean, ProgramRun, SuiteData, SuitePerf};
-pub use tables::{ablations, accesses, region_breakdown, table1, table2};
+pub use tables::{ablation_variants, ablations, accesses, region_breakdown, table1, table2};

@@ -1,6 +1,7 @@
 //! Serve-mode reporting: offered vs achieved load, client-observed
-//! tail-latency percentiles, per-request lifecycle rows, per-node
-//! outstanding-request timelines, and the mesh profile's `serve` object.
+//! tail-latency percentiles, per-request lifecycle rows, and per-node
+//! outstanding-request timelines. The serve `profile.json` is written
+//! with the mesh profile, by [`crate::net::serve_profile`].
 //!
 //! Everything here is a pure function of the run's
 //! [`tamsim_net::RequestRecord`]s, which the driver pins bit-identical
@@ -8,10 +9,8 @@
 //! JSON are byte-stable too (the golden and determinism CI gates rely on
 //! this).
 
-use tamsim_net::{ArrivalKind, LatencyHist, MeshRunResult, ServeRunResult};
-use tamsim_obs::{MeshProfileMeta, MeshServeSummary};
+use tamsim_net::{ArrivalKind, LatencyHist, ServeRunResult};
 
-use crate::net::net_summary;
 use crate::render::{r1, Table};
 
 /// Stable CSV / JSON label of an arrival-process shape.
@@ -173,60 +172,6 @@ pub fn serve_depth_table(r: &ServeRunResult) -> Table {
     t
 }
 
-/// The profile's `serve` object, adapted from the run's records.
-pub fn serve_summary(r: &ServeRunResult) -> MeshServeSummary {
-    let lat = sorted_latencies(r);
-    let hist = latency_hist(r);
-    let waits: Vec<u64> = r.records.iter().map(|rec| rec.queue_wait()).collect();
-    MeshServeSummary {
-        kind: arrival_kind_label(r.cfg.kind).to_string(),
-        origins: r.cfg.origins.label().to_string(),
-        seed: r.cfg.seed,
-        offered_ppm: r.cfg.rate_ppm,
-        achieved_ppm: r.achieved_ppm(),
-        requests: r.records.len() as u64,
-        p50: percentile(&lat, 50, 100),
-        p90: percentile(&lat, 90, 100),
-        p99: percentile(&lat, 99, 100),
-        p999: percentile(&lat, 999, 1000),
-        mean: hist.mean(),
-        max: hist.max,
-        queue_wait_mean: if waits.is_empty() {
-            0.0
-        } else {
-            waits.iter().sum::<u64>() as f64 / waits.len() as f64
-        },
-        queue_wait_max: waits.iter().copied().max().unwrap_or(0),
-        steals: r.mesh.steals.iter().sum(),
-        buckets: hist
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, &c)| {
-                let (lo, hi) = LatencyHist::bucket_bounds(k);
-                (lo, hi, c)
-            })
-            .collect(),
-    }
-}
-
-/// Render a serve run's `profile.json`: run identity and the `net`
-/// object as in [`crate::net::mesh_profile`], plus the `serve` object.
-pub fn serve_profile(r: &ServeRunResult, program: &str) -> String {
-    let m: &MeshRunResult = &r.mesh;
-    let meta = MeshProfileMeta {
-        program: program.to_string(),
-        implementation: m.implementation.label().to_string(),
-        nodes: m.nodes,
-        width: m.width,
-        height: m.height,
-        cycles: m.cycles,
-        instructions: m.instructions,
-    };
-    tamsim_obs::mesh_profile_json(&meta, &net_summary(m), Some(&serve_summary(r)))
-}
-
 #[cfg(test)]
 mod tests {
     use tamsim_core::Implementation;
@@ -307,10 +252,22 @@ mod tests {
         }
     }
 
+    /// Every unsigned value of `"key":` in `doc`, in order.
+    fn json_u64s(doc: &str, key: &str) -> Vec<u64> {
+        let pat = format!("\"{key}\":");
+        doc.split(&pat)
+            .skip(1)
+            .map(|rest| {
+                let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+                rest[..digits].parse().expect("an unsigned value")
+            })
+            .collect()
+    }
+
     #[test]
     fn serve_profile_is_valid_json_with_the_serve_object() {
         let r = serve_run();
-        let profile = serve_profile(&r, "fib");
+        let profile = crate::serve_profile(&r, "fib");
         tamsim_obs::json::validate(&profile).expect("serve profile must parse");
         assert!(profile.contains("\"schema\":\"tamsim-mesh-profile/1\""));
         assert!(profile.contains(
@@ -318,11 +275,17 @@ mod tests {
              \"offered_ppm\":20000,"
         ));
         assert!(profile.contains("\"requests\":16,"));
-        let s = serve_summary(&r);
-        assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999);
-        assert_eq!(s.p999, s.max, "16 samples: p999 is the max");
+        let serve =
+            &profile[profile.find("\"serve\":").unwrap()..profile.find("\"net\":").unwrap()];
+        let p = ["p50", "p90", "p99", "p999"].map(|k| json_u64s(serve, k)[0]);
+        assert!(p[0] <= p[1] && p[1] <= p[2] && p[2] <= p[3], "{serve}");
         assert_eq!(
-            s.buckets.iter().map(|b| b.2).sum::<u64>(),
+            p[3],
+            json_u64s(serve, "max")[0],
+            "16 samples: p999 is the max"
+        );
+        assert_eq!(
+            json_u64s(serve, "reqs").iter().sum::<u64>(),
             16,
             "histogram mass must cover every request"
         );

@@ -71,6 +71,20 @@ pub fn table2(data: &SuiteData) -> Table {
     t
 }
 
+/// The `md_opts_off` and `am_enabled` ablations' runs of `suite` at Table
+/// 2's geometry: MD without §2.3's peepholes in the MD slot and §2.4's
+/// enabled AM in its own (also Figure 2's enabled column).
+pub fn ablation_variants(suite: &[PaperBenchmark]) -> SuiteData {
+    SuiteData::collect(
+        suite.to_vec(),
+        &[
+            Experiment::new(Implementation::Md).with_opts(LoweringOptions::none()),
+            Experiment::new(Implementation::AmEnabled),
+        ],
+        vec![table2_geometry()],
+    )
+}
+
 /// Table 2's MD/AM ratios under the design choices the paper's argument
 /// turns on, one block of rows per ablation (each program, then the
 /// geometric mean), at Table 2's geometry and miss costs:
@@ -87,9 +101,10 @@ pub fn table2(data: &SuiteData) -> Table {
 ///   ([`LoweringOptions::none`]) over the measured AM;
 /// - `am_enabled`: the measured MD over §2.4's enabled AM.
 ///
-/// `data` must hold `suite`'s MD and AM runs at Table 2's geometry; the
-/// two variant datasets are collected here, over that geometry alone.
-pub fn ablations(suite: &[PaperBenchmark], data: &SuiteData) -> Table {
+/// `data` must hold `suite`'s MD and AM runs at Table 2's geometry and
+/// `variants` its [`ablation_variants`]; the queue SRAM runs are collected
+/// here, over that geometry alone.
+pub fn ablations(suite: &[PaperBenchmark], data: &SuiteData, variants: &SuiteData) -> Table {
     use Implementation::{Am, AmEnabled, Md};
     let geom = table2_geometry();
     let queue_sram = SuiteData::collect(
@@ -100,21 +115,13 @@ pub fn ablations(suite: &[PaperBenchmark], data: &SuiteData) -> Table {
         }),
         vec![geom],
     );
-    let variants = SuiteData::collect(
-        suite.to_vec(),
-        &[
-            Experiment::new(Md).with_opts(LoweringOptions::none()),
-            Experiment::new(AmEnabled),
-        ],
-        vec![geom],
-    );
     // (label, MD runs, AM runs, AM slot, writebacks charged)
     let blocks = [
         ("paper", data, data, Am, false),
         ("queue_sram", &queue_sram, &queue_sram, Am, false),
         ("writebacks", data, data, Am, true),
-        ("md_opts_off", &variants, data, Am, false),
-        ("am_enabled", data, &variants, AmEnabled, false),
+        ("md_opts_off", variants, data, Am, false),
+        ("am_enabled", data, variants, AmEnabled, false),
     ];
     let mut t = Table::new(&[
         "Program", "Ablation", "MD instr", "AM instr", "MD/AM@12", "MD/AM@24", "MD/AM@48",
@@ -249,7 +256,7 @@ mod tests {
             &[Md, Am].map(Experiment::new),
             tamsim_cache::paper_sweep(),
         );
-        let csv = ablations(&suite, &data).to_csv();
+        let csv = ablations(&suite, &data, &ablation_variants(&suite)).to_csv();
         let rows: Vec<Vec<&str>> = csv
             .lines()
             .skip(1)

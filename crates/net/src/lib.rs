@@ -44,6 +44,7 @@
 pub mod driver;
 pub mod fabric;
 pub mod hooks;
+mod identity;
 mod nodeset;
 pub mod place;
 pub mod port;

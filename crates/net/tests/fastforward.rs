@@ -6,9 +6,7 @@
 //! fast-forward skipped a cycle that was not actually a no-op.
 
 use tamsim_core::Implementation;
-use tamsim_net::{
-    MeshExperiment, MeshRunResult, NetConfig, NetTraceMode, NodeState, PlacementPolicy,
-};
+use tamsim_net::{MeshExperiment, NetConfig, NetTraceMode, NodeState, PlacementPolicy};
 use tamsim_programs as programs;
 use tamsim_tam::Program;
 
@@ -17,54 +15,6 @@ const IMPLS: [Implementation; 3] = [
     Implementation::AmEnabled,
     Implementation::Md,
 ];
-
-fn assert_bit_identical(lock: &MeshRunResult, fast: &MeshRunResult, ctx: &str) {
-    assert_eq!(fast.cycles, lock.cycles, "cycle count differs: {ctx}");
-    assert_eq!(fast.halt, lock.halt, "halt reason differs: {ctx}");
-    assert_eq!(fast.result, lock.result, "result words differ: {ctx}");
-    assert_eq!(fast.arrays, lock.arrays, "heap arrays differ: {ctx}");
-    assert_eq!(
-        fast.instructions, lock.instructions,
-        "instruction counts differ: {ctx}"
-    );
-    assert_eq!(fast.stats, lock.stats, "machine counters differ: {ctx}");
-    assert_eq!(fast.counts, lock.counts, "access counts differ: {ctx}");
-    assert_eq!(
-        fast.stall_cycles, lock.stall_cycles,
-        "NI stall cycles differ: {ctx}"
-    );
-    assert_eq!(fast.net, lock.net, "fabric statistics differ: {ctx}");
-    assert_eq!(
-        fast.deliver_stalls, lock.deliver_stalls,
-        "per-node deliver stalls differ: {ctx}"
-    );
-    assert_eq!(
-        fast.link_stats, lock.link_stats,
-        "per-link telemetry differs: {ctx}"
-    );
-    assert_eq!(
-        fast.queue_words, lock.queue_words,
-        "queue auto-sizing diverged: {ctx}"
-    );
-    assert_eq!(
-        fast.live_frames, lock.live_frames,
-        "live-frame census differs: {ctx}"
-    );
-    assert_eq!(
-        fast.watchdog_trips, lock.watchdog_trips,
-        "watchdog trips differ: {ctx}"
-    );
-    assert_eq!(
-        fast.backstop_rearms, lock.backstop_rearms,
-        "backstop re-arms differ: {ctx}"
-    );
-    for (n, (f, l)) in fast.activity.iter().zip(&lock.activity).enumerate() {
-        assert_eq!(
-            f.spans, l.spans,
-            "activity timeline differs on node {n}: {ctx}"
-        );
-    }
-}
 
 fn assert_differential(program: &Program, nodes: &[u32], net: NetConfig) {
     for impl_ in IMPLS {
@@ -79,7 +29,7 @@ fn assert_differential(program: &Program, nodes: &[u32], net: NetConfig) {
                     "{} under {:?} on {} nodes ({:?}, {net:?})",
                     program.name, impl_, n, policy
                 );
-                assert_bit_identical(&lock, &fast, &ctx);
+                assert_eq!(lock.first_difference(&fast), None, "{ctx}");
             }
         }
     }
@@ -106,7 +56,7 @@ fn fib_fast_forward_is_bit_identical_on_wide_meshes() {
                 let lock = exp.lockstep().run(&program);
                 let fast = exp.run(&program);
                 let ctx = format!("fib(12) under {impl_:?} on {nodes} nodes ({policy:?})");
-                assert_bit_identical(&lock, &fast, &ctx);
+                assert_eq!(lock.first_difference(&fast), None, "{ctx}");
                 assert!(
                     lock.activity
                         .iter()
@@ -132,7 +82,7 @@ fn forty_node_falloc_ffree_round_trip() {
         let lock = exp.lockstep().run(&program);
         let fast = exp.run(&program);
         let ctx = format!("fib(13) on 40 nodes ({policy:?})");
-        assert_bit_identical(&lock, &fast, &ctx);
+        assert_eq!(lock.first_difference(&fast), None, "{ctx}");
         // Frames were genuinely spread past node 16 and freed again.
         assert!(fast.net.delivered_msgs > 0, "no cross-node traffic: {ctx}");
         assert!(
@@ -218,7 +168,7 @@ fn traced_runs_are_bit_identical_to_untraced() {
                     "{} under {impl_:?} on 4 nodes ({label} driver, traced)",
                     bench.program.name
                 );
-                assert_bit_identical(&plain, &traced, &ctx);
+                assert_eq!(plain.first_difference(&traced), None, "{ctx}");
 
                 let trace = traced.net_trace.as_ref().expect("traced run has a trace");
                 assert_eq!(trace.dropped, 0, "full mode must retain everything: {ctx}");
@@ -288,7 +238,7 @@ fn recorded_traces_are_bit_identical() {
         let lock = exp.lockstep().run_recorded(&program);
         let fast = exp.run_recorded(&program);
         let ctx = format!("fib(11) under {impl_:?} on 4 nodes");
-        assert_bit_identical(&lock.run, &fast.run, &ctx);
+        assert_eq!(lock.run.first_difference(&fast.run), None, "{ctx}");
         assert_eq!(lock.logs.len(), fast.logs.len());
         for (n, (l, f)) in lock.logs.iter().zip(&fast.logs).enumerate() {
             assert_eq!(l.len(), f.len(), "node {n} trace length differs: {ctx}");
@@ -308,7 +258,7 @@ fn recording_under_net_tracing_matches_untraced_recording() {
     let traced = exp.traced(NetTraceMode::Ring(256)).run_recorded(&program);
     let ctx = "fib(11) under Am on 4 nodes, traced";
     assert!(traced.run.net_trace.is_some(), "net trace missing: {ctx}");
-    assert_bit_identical(&plain.run, &traced.run, ctx);
+    assert_eq!(plain.run.first_difference(&traced.run), None, "{ctx}");
     assert_eq!(plain.logs.len(), traced.logs.len());
     for (n, (p, t)) in plain.logs.iter().zip(&traced.logs).enumerate() {
         assert!(p.iter().eq(t.iter()), "node {n} trace events differ: {ctx}");

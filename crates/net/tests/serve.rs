@@ -25,42 +25,7 @@ const POLICIES: [PlacementPolicy; 3] = PlacementPolicy::ALL;
 fn assert_serve_identical(a: &ServeRunResult, b: &ServeRunResult, ctx: &str) {
     assert_eq!(a.records, b.records, "completion records differ: {ctx}");
     assert_eq!(a.cfg, b.cfg, "scenario differs: {ctx}");
-    assert_eq!(a.mesh.cycles, b.mesh.cycles, "cycle count differs: {ctx}");
-    assert_eq!(a.mesh.halt, b.mesh.halt, "halt reason differs: {ctx}");
-    assert_eq!(
-        a.mesh.instructions, b.mesh.instructions,
-        "instruction counts differ: {ctx}"
-    );
-    assert_eq!(a.mesh.stats, b.mesh.stats, "machine counters differ: {ctx}");
-    assert_eq!(a.mesh.counts, b.mesh.counts, "access counts differ: {ctx}");
-    assert_eq!(
-        a.mesh.stall_cycles, b.mesh.stall_cycles,
-        "NI stall cycles differ: {ctx}"
-    );
-    assert_eq!(a.mesh.net, b.mesh.net, "fabric statistics differ: {ctx}");
-    assert_eq!(
-        a.mesh.link_stats, b.mesh.link_stats,
-        "per-link telemetry differs: {ctx}"
-    );
-    assert_eq!(
-        a.mesh.queue_words, b.mesh.queue_words,
-        "queue auto-sizing diverged: {ctx}"
-    );
-    assert_eq!(
-        a.mesh.live_frames, b.mesh.live_frames,
-        "live-frame census differs: {ctx}"
-    );
-    assert_eq!(a.mesh.steals, b.mesh.steals, "steal counts differ: {ctx}");
-    assert_eq!(
-        a.mesh.watchdog_trips, b.mesh.watchdog_trips,
-        "watchdog trips differ: {ctx}"
-    );
-    for (n, (p, q)) in a.mesh.activity.iter().zip(&b.mesh.activity).enumerate() {
-        assert_eq!(
-            p.spans, q.spans,
-            "activity timeline differs on node {n}: {ctx}"
-        );
-    }
+    assert_eq!(a.mesh.first_difference(&b.mesh), None, "{ctx}");
 }
 
 /// Per-request lifecycle invariants plus end-to-end answer correctness:

@@ -12,37 +12,8 @@
 
 use tamsim_core::Implementation;
 use tamsim_mdp::Word;
-use tamsim_net::{
-    MeshExperiment, MeshRunResult, NetConfig, OriginDist, PlacementPolicy, ServeConfig,
-};
+use tamsim_net::{MeshExperiment, NetConfig, OriginDist, PlacementPolicy, ServeConfig};
 use tamsim_programs as programs;
-
-fn assert_bit_identical(a: &MeshRunResult, b: &MeshRunResult, ctx: &str) {
-    assert_eq!(b.cycles, a.cycles, "cycle count differs: {ctx}");
-    assert_eq!(b.halt, a.halt, "halt reason differs: {ctx}");
-    assert_eq!(b.result, a.result, "result words differ: {ctx}");
-    assert_eq!(b.arrays, a.arrays, "heap arrays differ: {ctx}");
-    assert_eq!(b.instructions, a.instructions, "instructions differ: {ctx}");
-    assert_eq!(b.stats, a.stats, "machine counters differ: {ctx}");
-    assert_eq!(b.counts, a.counts, "access counts differ: {ctx}");
-    assert_eq!(b.stall_cycles, a.stall_cycles, "NI stalls differ: {ctx}");
-    assert_eq!(b.net, a.net, "fabric statistics differ: {ctx}");
-    assert_eq!(
-        b.deliver_stalls, a.deliver_stalls,
-        "deliver stalls differ: {ctx}"
-    );
-    assert_eq!(b.link_stats, a.link_stats, "link telemetry differs: {ctx}");
-    assert_eq!(b.queue_words, a.queue_words, "queue sizing differs: {ctx}");
-    assert_eq!(b.live_frames, a.live_frames, "frame census differs: {ctx}");
-    assert_eq!(b.steals, a.steals, "steal counts differ: {ctx}");
-    assert_eq!(
-        b.watchdog_trips, a.watchdog_trips,
-        "watchdog trips differ: {ctx}"
-    );
-    for (n, (x, y)) in b.activity.iter().zip(&a.activity).enumerate() {
-        assert_eq!(x.spans, y.spans, "activity differs on node {n}: {ctx}");
-    }
-}
 
 /// The heart of the gate: lockstep and fast-forward must produce
 /// identical runs under `--policy steal`, and the run must contain
@@ -58,7 +29,7 @@ fn steal_is_bit_identical_across_drivers() {
             let lock = exp.lockstep().run(&program);
             let fast = exp.run(&program);
             let ctx = format!("fib(12) under {impl_:?} on {nodes} nodes");
-            assert_bit_identical(&lock, &fast, &format!("{ctx}, fast-forward"));
+            assert_eq!(lock.first_difference(&fast), None, "{ctx}, fast-forward");
             assert!(
                 lock.steals.iter().sum::<u64>() > 0,
                 "no frames were migrated: {ctx}"
@@ -87,11 +58,8 @@ fn corner_serve_steal_fast_forward_matches_lockstep() {
             let fast = exp.serve(&program, &cfg);
             let ctx = format!("fib(8) corner serve under {impl_:?} at {rate_ppm} ppm");
             assert_eq!(lock.records, fast.records, "request records differ: {ctx}");
-            assert_bit_identical(&lock.mesh, &fast.mesh, &ctx);
-            assert_eq!(
-                lock.mesh.backstop_rearms, fast.mesh.backstop_rearms,
-                "backstop re-arms differ: {ctx}"
-            );
+            assert_eq!(lock.cfg, fast.cfg, "scenario differs: {ctx}");
+            assert_eq!(lock.mesh.first_difference(&fast.mesh), None, "{ctx}");
             assert!(
                 lock.mesh.steals.iter().sum::<u64>() > 0,
                 "no frames were migrated: {ctx}"
@@ -139,7 +107,11 @@ fn steal_is_bit_identical_under_congestion() {
         .with_net(net);
     let lock = exp.lockstep().run(&program);
     let fast = exp.run(&program);
-    assert_bit_identical(&lock, &fast, "congested fib(11), fast-forward");
+    assert_eq!(
+        lock.first_difference(&fast),
+        None,
+        "congested fib(11), fast-forward"
+    );
 }
 
 /// Every frame a steal moves must eventually be freed on its *new* home
@@ -240,8 +212,8 @@ fn corner_skew_forwarding_round_trip_is_exactly_once() {
     let lock = exp.lockstep().serve(&program, &cfg);
     let fast = exp.serve(&program, &cfg);
     assert_eq!(lock.records, fast.records, "fast-forward records differ");
-    assert_eq!(lock.mesh.cycles, fast.mesh.cycles);
-    assert_eq!(lock.mesh.steals, fast.mesh.steals);
+    assert_eq!(lock.cfg, fast.cfg, "scenario differs");
+    assert_eq!(lock.mesh.first_difference(&fast.mesh), None);
     // Exactly once: 24 in, 24 out, each id once, each the right answer.
     assert_eq!(lock.records.len(), 24, "conservation under skew");
     let batch = MeshExperiment::new(Implementation::Am, 1).run(&program);

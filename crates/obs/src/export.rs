@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use crate::json::{num, quote};
 use crate::{Profile, SpanKind};
 
-pub(crate) const PID: u32 = 1;
+const PID: u32 = 1;
 /// Counter tracks get thread ids above every real track.
 const COUNTER_TID_BASE: usize = 1_000_000;
 
@@ -134,48 +134,6 @@ pub fn chrome_trace_json(p: &Profile) -> String {
 
     out.push_str("]}");
     out
-}
-
-/// One span of a mesh node's timeline ([`mesh_trace_json`]).
-#[derive(Debug, Clone, Copy)]
-pub struct NodeTrackSpan {
-    /// Slice name shown in the viewer ("run", "stall", ...).
-    pub label: &'static str,
-    /// First cycle of the span.
-    pub start: u64,
-    /// Span length in cycles.
-    pub cycles: u64,
-}
-
-/// One mesh node's timeline: a named Perfetto track of cycle spans. Kept
-/// free of simulator types so the exporter stays generic; the mesh driver
-/// adapts its run-length activity encoding into this shape.
-#[derive(Debug, Clone)]
-pub struct NodeTrack {
-    /// Track (thread) name, e.g. `"node 3"`.
-    pub name: String,
-    /// Spans in time order.
-    pub spans: Vec<NodeTrackSpan>,
-}
-
-/// Render a mesh run as a Chrome trace-event JSON document with one
-/// track per node, loadable in `ui.perfetto.dev`: what every node was
-/// doing on every global cycle, side by side. Delegates to
-/// [`crate::net_trace::mesh_trace_json_traced`] with an empty network
-/// trace — traced runs add message flows and occupancy counters on top.
-pub fn mesh_trace_json(
-    program: &str,
-    implementation: &str,
-    total_cycles: u64,
-    tracks: &[NodeTrack],
-) -> String {
-    crate::net_trace::mesh_trace_json_traced(
-        program,
-        implementation,
-        total_cycles,
-        tracks,
-        &crate::net_trace::MeshNetTrace::default(),
-    )
 }
 
 /// Render the compact statistics profile (`profile.json`).
@@ -324,42 +282,6 @@ mod tests {
         assert!(trace.contains("fib.t0"));
         assert!(trace.contains("queue depth (words)"));
         assert!(trace.contains("rcv occupancy (threads)"));
-    }
-
-    #[test]
-    fn mesh_trace_has_one_track_per_node() {
-        let tracks = vec![
-            NodeTrack {
-                name: "node 0".to_string(),
-                spans: vec![
-                    NodeTrackSpan {
-                        label: "run",
-                        start: 0,
-                        cycles: 5,
-                    },
-                    NodeTrackSpan {
-                        label: "stall",
-                        start: 5,
-                        cycles: 2,
-                    },
-                ],
-            },
-            NodeTrack {
-                name: "node 1".to_string(),
-                spans: vec![NodeTrackSpan {
-                    label: "run",
-                    start: 3,
-                    cycles: 4,
-                }],
-            },
-        ];
-        let trace = mesh_trace_json("fib", "MD", 7, &tracks);
-        json::validate(&trace).expect("mesh trace must parse");
-        assert!(trace.contains("\"nodes\":2"));
-        assert!(trace.contains("node 0"));
-        assert!(trace.contains("node 1"));
-        assert!(trace.contains("\"name\":\"stall\""));
-        assert_eq!(trace.matches("\"ph\":\"X\"").count(), 3);
     }
 
     #[test]

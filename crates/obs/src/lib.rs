@@ -19,27 +19,24 @@
 //! sink traits, so the experiment driver in `tamsim-core` feeds it through
 //! the exact same path as any other sink — a profiled run is an ordinary
 //! run with an observer attached, and cycle counts are identical by
-//! construction.
+//! construction. A mesh run's `mesh_trace.json` and `profile.json` are
+//! rendered from the mesh simulator's own results by `tamsim-metrics`
+//! (its `net` module), with this crate's [`json`] helpers.
 
 mod export;
 mod hooks;
 pub mod hotspot;
 pub mod json;
 mod manifest;
-mod net_trace;
 mod symbols;
 mod timeline;
 
 use std::fmt;
 
-pub use export::{chrome_trace_json, mesh_trace_json, profile_json, NodeTrack, NodeTrackSpan};
+pub use export::{chrome_trace_json, profile_json};
 pub use hooks::{ProfileHooks, RawProfile};
 pub use hotspot::{HotspotReport, HotspotRow, RegionHotspots};
 pub use manifest::{git_revision, Manifest};
-pub use net_trace::{
-    mesh_profile_json, mesh_trace_json_traced, MeshCounterSample, MeshFlow, MeshLatencyRow,
-    MeshLinkRow, MeshNetSummary, MeshNetTrace, MeshProfileMeta, MeshServeSummary,
-};
 pub use symbols::SymbolTable;
 use tamsim_trace::MemoryMap;
 // Re-export the event vocabulary so profile consumers need only this crate.
